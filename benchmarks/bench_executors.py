@@ -1,11 +1,9 @@
-"""Executor comparison — serial vs threads vs lockstep vs processes.
+"""Executor comparison — serial vs lockstep vs processes.
 
-The four ways this repo can dispatch Algorithm 5's chunk scans, measured on
-*identical* inputs (same pattern, same text, same chunk count ``p``):
+The three ways this repo can dispatch Algorithm 5's chunk scans, measured
+on *identical* inputs (same pattern, same text, same chunk count ``p``):
 
 * **serial** — reference: ``p`` scalar scans, one after another.
-* **threads** — the paper's pthread structure; GIL-bound under CPython, so
-  it mostly measures pool overhead here.
 * **lockstep** — single-process SIMD substitute: one vector gather advances
   all ``p`` chunk states per position.
 * **processes** — the real thing: one OS process per worker, transition
@@ -31,7 +29,7 @@ from repro.bench.harness import (
 from repro.bench.report import emit, emit_json
 from repro.matching.lockstep import lockstep_run
 from repro.matching.parallel_sfa import parallel_sfa_run
-from repro.parallel.executor import ProcessExecutor, SerialExecutor, ThreadExecutor
+from repro.parallel.executor import ProcessExecutor
 from repro.workloads.patterns import rn_pattern
 from repro.workloads.textgen import rn_accepted_text
 
@@ -56,9 +54,6 @@ def test_executor_throughput_comparison(benchmark):
         ),
     }
     verdicts["lockstep"] = lockstep_run(m.sfa, classes, P).accepted
-    with ThreadExecutor(min(P, cores)) as tex:
-        verdicts["threads"] = run(tex).accepted
-        tput["threads"] = measure_throughput(lambda: run(tex), len(text), repeat=2)
     with ProcessExecutor(min(P, cores)) as pex:
         verdicts["processes"] = run(pex).accepted  # also warms pool + table shm
         tput["processes"] = measure_throughput(lambda: run(pex), len(text), repeat=2)
@@ -69,7 +64,7 @@ def test_executor_throughput_comparison(benchmark):
             "MB/s": tput[name],
             "speedup vs serial": tput[name] / tput["serial"],
         })
-        for name in ("serial", "threads", "lockstep", "processes")
+        for name in ("serial", "lockstep", "processes")
     ]
     emit(
         format_table(
@@ -80,10 +75,10 @@ def test_executor_throughput_comparison(benchmark):
             note="Identical inputs across backends. 'processes' runs the "
             "scalar chunk scans on real cores (tables in shared memory); "
             "its speedup tracks min(p, cores) once the input amortizes "
-            "the per-call IPC. 'threads' is GIL-bound under CPython.",
+            "the per-call IPC.",
         )
     )
-    for name in ("serial", "threads", "lockstep", "processes"):
+    for name in ("serial", "lockstep", "processes"):
         emit_json("bench_executors", name, mb_per_s=tput[name],
                   speedup=tput[name] / tput["serial"], p=P, cores=cores)
     shape_check("all backends agree on the verdict",

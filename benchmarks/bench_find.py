@@ -14,7 +14,7 @@ this workload (the pattern has no greedy/longest divergence).
 
 import re
 
-from repro import compile_pattern
+from repro import Plan, compile_pattern
 from repro.bench.harness import (
     BenchRecord,
     format_table,
@@ -24,6 +24,9 @@ from repro.bench.harness import (
 from repro.bench.report import emit, emit_json
 from repro.matching.parallel_sfa import parallel_sfa_run
 from repro.workloads.textgen import random_text
+
+#: The serial plan with the literal prefilter off: the exact start pass.
+EXACT = Plan(prefilter=False)
 
 TEXT_BYTES = 1_500_000
 PATTERN = "ERROR [0-9]+"
@@ -60,13 +63,13 @@ def test_find_throughput(benchmark):
             len(text), repeat=3,
         ),
         "find p=1 python": measure_throughput(
-            lambda: m.count(text), len(text), repeat=3,
+            lambda: m.count(text, plan=Plan()), len(text), repeat=3,
         ),
         "find p=4 lockstep-chunked": measure_throughput(
-            lambda: m.count(text, num_chunks=4), len(text), repeat=3,
+            lambda: m.count(text, plan=Plan(num_chunks=4)), len(text), repeat=3,
         ),
         "find p=1 stride4": measure_throughput(
-            lambda: m.count(text, num_chunks=2, kernel="stride4"),
+            lambda: m.count(text, plan=Plan(num_chunks=2, kernel="stride4")),
             len(text), repeat=3,
         ),
         "re.finditer": measure_throughput(
@@ -134,12 +137,14 @@ def test_prefilter_throughput(benchmark):
         )
         shape_check(
             f"prefiltered spans byte-identical for {pattern!r}",
-            list(m.finditer(text)) == list(m.finditer(text, prefilter=False)),
+            list(m.finditer(text)) == list(m.finditer(text, plan=EXACT)),
             "span mismatch",
         )
-        on = measure_throughput(lambda: m.count(text), len(text), repeat=3)
+        on = measure_throughput(
+            lambda: m.count(text, plan=Plan()), len(text), repeat=3
+        )
         off = measure_throughput(
-            lambda: m.count(text, prefilter=False), len(text), repeat=3
+            lambda: m.count(text, plan=EXACT), len(text), repeat=3
         )
         ratios[pattern] = on / off
         rows.append(BenchRecord(

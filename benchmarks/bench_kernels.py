@@ -1,19 +1,20 @@
-"""Scan-kernel comparison — python vs stride2 / stride4 vs vector.
+"""Scan-kernel comparison — python vs stride2 / stride4.
 
 The chunk-scan inner loop bounds every engine's single-core throughput:
-serial, lockstep, threads and processes all execute the same per-symbol
-walk.  This bench measures the kernel knob (DESIGN.md §3.5) on identical
+serial, lockstep and processes all execute the same per-symbol walk.
+This bench measures the plan's kernel (DESIGN.md §3.5) on identical
 inputs (r_5, 2 MB accepted text, one chunk, one core):
 
 * **python** — the reference per-byte loop of Algorithm 5's chunk scan.
 * **stride2 / stride4** — precomposed superalphabet tables: one lookup per
   2/4 input symbols, same loop body (the speed *is* the stride).
-* **vector** — block-composed mappings in NumPy (``O(|S|)`` work per
-  symbol, no Python loop): slow for wide SFAs, the decisive win for the
-  narrow all-states transform scan below.
 
-The shape claim matches the tentpole acceptance: a stride or vector kernel
-is ≥ 3× the pure-Python ``sfa_scan`` on this workload.
+For Algorithm 3's all-states transform scan the stride kernels also
+switch to the block-composed transform (mappings composed in NumPy, no
+per-symbol Python loop) — the decisive win on that narrow scan.
+
+The shape claim matches the tentpole acceptance: a stride kernel is ≥ 3×
+the pure-Python ``sfa_scan`` on this workload.
 """
 
 from repro import compile_pattern
@@ -38,7 +39,7 @@ def seed_sfa_scan(table, initial, classes):
 
     Rebuilds the flattened table list on every call and pays two int
     allocations per symbol — exactly the loop every engine ran before the
-    stride/vector kernels (and the flat-list cache) landed.
+    stride kernels (and the flat-list cache) landed.
     """
     k = table.shape[1]
     flat = table.ravel().tolist()
@@ -85,9 +86,7 @@ def test_sfa_kernel_throughput(benchmark):
             note="Identical inputs across kernels.  'seed loop' is the "
             "pre-kernel sfa_scan (per-call flat rebuild); 'python' is the "
             "same loop with the cached pre-scaled list.  stride4 does n/4 "
-            "lookups (plus one vectorized pack); vector trades the Python "
-            "loop for |S|-wide NumPy gathers, which only pays off for "
-            "narrow tables (see the transform bench).",
+            "lookups (plus one vectorized pack).",
         )
     )
     for k in ("seed loop", *KERNELS):
@@ -99,8 +98,8 @@ def test_sfa_kernel_throughput(benchmark):
     shape_check("stride4 beats stride2 (half the lookups again)",
                 tput["stride4"] > tput["stride2"],
                 f"{tput['stride4']:.1f} vs {tput['stride2']:.1f} MB/s")
-    best = max(tput["stride2"], tput["stride4"], tput["vector"])
-    shape_check("a stride or vector kernel is >= 3x the seed python scan",
+    best = max(tput["stride2"], tput["stride4"])
+    shape_check("a stride kernel is >= 3x the seed python scan",
                 best >= 3 * tput["seed loop"],
                 f"best {best:.1f} vs seed {tput['seed loop']:.1f} MB/s")
     shape_check("stride4 also beats the cached python kernel by >= 2x",
@@ -111,13 +110,13 @@ def test_sfa_kernel_throughput(benchmark):
 
 
 def test_transform_kernel_vectorization(benchmark):
-    """Algorithm 3's all-states scan: the vector kernel vs the python loop.
+    """Algorithm 3's all-states scan: the stride4 kernel vs the python loop.
 
     The python transform scan issues one |D|-wide NumPy gather per input
-    character — per-call overhead dominates, so it crawls.  The vector
-    kernel composes 256-symbol blocks entirely inside NumPy and the stride
-    kernels shrink the symbol stream first; both are order-of-magnitude
-    wins, which is what makes the speculative engine usable at all.
+    character — per-call overhead dominates, so it crawls.  The stride4
+    kernel shrinks the symbol stream to n/4 and composes 256-symbol
+    blocks of it entirely inside NumPy: an order-of-magnitude win, which
+    is what makes the speculative engine usable at all.
     """
     m = compile_pattern(rn_pattern(5))
     text = rn_accepted_text(5, TEXT_BYTES, seed=0)
@@ -130,22 +129,23 @@ def test_transform_kernel_vectorization(benchmark):
         "python": measure_throughput(
             lambda: speculative_run(dfa, py_slice, 1, kernel="python"),
             len(py_slice), repeat=2,
-        )
-    }
-    verdicts = {}
-    for k in ("stride4", "vector"):
-        verdicts[k] = speculative_run(dfa, classes, 1, kernel=k).accepted
-        tput[k] = measure_throughput(
-            lambda k=k: speculative_run(dfa, classes, 1, kernel=k),
+        ),
+        "stride4": measure_throughput(
+            lambda: speculative_run(dfa, classes, 1, kernel="stride4"),
             len(text), repeat=3,
-        )
+        ),
+    }
+    verdicts = {
+        k: speculative_run(dfa, classes[: len(py_slice)], 1, kernel=k).accepted
+        for k in ("python", "stride4")
+    }
 
     rows = [
         BenchRecord(k, {
             "MB/s": tput[k],
             "speedup vs python": tput[k] / tput["python"],
         })
-        for k in ("python", "stride4", "vector")
+        for k in ("python", "stride4")
     ]
     emit(
         format_table(
@@ -154,21 +154,22 @@ def test_transform_kernel_vectorization(benchmark):
             ["MB/s", "speedup vs python"],
             rows,
             note="python row measured on a 100 KB slice (it is "
-            "per-character NumPy dispatch); vector/stride rows on the "
-            "full 2 MB.",
+            "per-character NumPy dispatch); the stride4 row on the full "
+            "2 MB.",
         )
     )
-    for k in ("python", "stride4", "vector"):
+    for k in ("python", "stride4"):
         emit_json("bench_kernels.transform_scan", k, mb_per_s=tput[k],
                   speedup=tput[k] / tput["python"])
-    shape_check("vector and stride agree on the verdict",
-                verdicts["vector"] == verdicts["stride4"] and verdicts["vector"],
-                f"{verdicts}")
-    shape_check("vector transform is >= 3x the python transform",
-                tput["vector"] >= 3 * tput["python"],
-                f"{tput['vector']:.1f} vs {tput['python']:.1f} MB/s")
+    shape_check("python and stride4 agree on the verdict",
+                verdicts["python"] == verdicts["stride4"], f"{verdicts}")
+    shape_check("stride4 accepts the full text (it is from L(r_5))",
+                speculative_run(dfa, classes, 1, kernel="stride4").accepted)
+    shape_check("stride4 transform is >= 3x the python transform",
+                tput["stride4"] >= 3 * tput["python"],
+                f"{tput['stride4']:.1f} vs {tput['python']:.1f} MB/s")
 
     benchmark.pedantic(
-        lambda: speculative_run(dfa, classes, 1, kernel="vector"),
+        lambda: speculative_run(dfa, classes, 1, kernel="stride4"),
         rounds=3, iterations=1,
     )

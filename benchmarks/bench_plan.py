@@ -16,7 +16,7 @@ Ratios land in BENCH_results.json under ``bench_plan.*``.
 
 import random
 
-from repro import MultiPatternSet, compile_pattern
+from repro import MultiPatternSet, Plan, compile_pattern
 from repro.bench.harness import (
     BenchRecord,
     format_table,
@@ -95,12 +95,13 @@ def test_plan_acceptance(benchmark):
     m.sfa.stride_table(4)
 
     combos = {
-        "dfa/python": lambda: m.fullmatch(text, engine="dfa"),
-        "sfa/python": lambda: m.fullmatch(text, engine="sfa", kernel="python"),
-        "sfa/stride2": lambda: m.fullmatch(text, engine="sfa",
-                                           kernel="stride2"),
-        "sfa/stride4": lambda: m.fullmatch(text, engine="sfa",
-                                           kernel="stride4"),
+        "dfa/python": lambda: m.fullmatch(text, plan=Plan(engine="dfa")),
+        **{
+            f"sfa/{k}": lambda k=k: m.fullmatch(
+                text, plan=Plan(engine="sfa", kernel=k)
+            )
+            for k in ("python", "stride2", "stride4")
+        },
     }
     plan = get_planner().plan("fullmatch", len(text), subject=m)
     _report(benchmark, "bench_plan.acceptance",
@@ -117,12 +118,8 @@ def test_plan_spans(benchmark):
     expect = m.count(text)
 
     combos = {
-        "python/p1": lambda: list(
-            m.finditer(text, num_chunks=1, kernel="python")
-        ),
-        "python/p4": lambda: list(
-            m.finditer(text, num_chunks=4, kernel="python")
-        ),
+        "python/p1": lambda: list(m.finditer(text, plan=Plan())),
+        "python/p4": lambda: list(m.finditer(text, plan=Plan(num_chunks=4))),
     }
     plan = get_planner().plan("spans", len(text), subject=m)
     shape_check("span workload has matches to extract", expect > 0,
@@ -143,9 +140,8 @@ def test_plan_multipattern(benchmark):
     assert mps.matches(text)
 
     combos = {
-        "lockstep/python": lambda: mps.matches(text, kernel="python"),
-        "lockstep/stride2": lambda: mps.matches(text, kernel="stride2"),
-        "lockstep/stride4": lambda: mps.matches(text, kernel="stride4"),
+        f"lockstep/{k}": lambda k=k: mps.matches(text, plan=Plan(kernel=k))
+        for k in ("python", "stride2", "stride4")
     }
     plan = get_planner().plan("multi", len(text), subject=mps)
     _report(benchmark, "bench_plan.multipattern",

@@ -22,6 +22,7 @@ import threading
 
 from repro.bench.harness import BenchRecord, format_table, shape_check, time_callable
 from repro.bench.report import emit, emit_json
+from repro.planning.plan import Plan
 from repro.service.client import ServiceClient
 from repro.service.server import MatchService
 
@@ -33,6 +34,7 @@ COLD_REQUESTS = 12
 WARM_REQUESTS = 200
 PAYLOAD = (b"ab" * 512) + b"a" + (b"ab" * 4) + b"b"  # ~1 KB, matches
 BULK_PAYLOAD = b"xy ERROR 42 " * 16_000  # ~192 KB for throughput
+SCAN_PLAN = Plan(engine="sfa", num_chunks=4, kernel="stride2")
 
 
 class _Server:
@@ -145,8 +147,7 @@ def test_payload_throughput_and_concurrency(benchmark):
                 repeat=3,
             )
             t_scan = time_callable(
-                lambda: c.scan("ERROR [0-9]+", BULK_PAYLOAD, chunks=4,
-                               kernel="stride2"),
+                lambda: c.scan("ERROR [0-9]+", BULK_PAYLOAD, plan=SCAN_PLAN),
                 repeat=3,
             )
         mbps_spans = len(BULK_PAYLOAD) / 1e6 / t_spans

@@ -9,13 +9,14 @@ structure (Lemma 1):
 * a :class:`StreamMatcher` folds arriving blocks into a running SFA state,
   so verdicts are available after every block without replaying —
   something a plain DFA loop also does, but here each block scan could
-  itself be chunk-parallel (ParallelStreamMatcher).
+  itself be chunk-parallel (a plan with several chunks).
 
 Run:  python examples/stream_monitor.py
 """
 
+from repro import Plan
 from repro.matching.multi import MultiPatternSet
-from repro.matching.stream import ParallelStreamMatcher, StreamMatcher
+from repro.matching.stream import StreamMatcher
 
 RULES = [
     r"SELECT\+[a-z]+\+FROM",     # SQL injection shape (URL-encoded spaces)
@@ -63,7 +64,7 @@ def main() -> None:
     # The parallel cursor gives identical verdicts (Lemma 1: composition
     # is associative, so block boundaries and intra-block chunking are
     # both irrelevant).
-    par = ParallelStreamMatcher(mps.sfa, num_chunks=4)
+    par = StreamMatcher(mps.sfa, Plan(engine="lockstep", num_chunks=4))
     for block in BLOCKS:
         par.feed(block)
     assert par.state == cursor.state

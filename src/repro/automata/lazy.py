@@ -19,7 +19,7 @@ runtime shape:
 * a ``max_states`` budget converting runaway materialization into
   :class:`~repro.errors.StateExplosionError` instead of an OOM;
 * ``freeze()`` — complete the closure of the materialized states and
-  return the equivalent *eager* automaton, so stride/vector kernels and
+  return the equivalent *eager* automaton, so stride kernels and
   shared-memory publication apply after a lazy warm-up.
 
 :class:`LazyUnionDFA` is the multi-pattern workhorse: the union subset

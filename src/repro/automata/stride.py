@@ -118,7 +118,7 @@ def best_stride_table(
     gigabytes) while ``stride2`` fits comfortably.  Rather than collapsing
     all the way to the 1-gram table, try each supported stride from the
     requested one downward and return the first within budget, so the
-    stride knob degrades gracefully instead of cliffing to the reference
+    stride kernel degrades gracefully instead of cliffing to the reference
     loop.  Tables are memoized per automaton exactly like
     :func:`cached_stride_table`; returns ``None`` when even the smallest
     supported stride is over budget.

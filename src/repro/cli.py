@@ -5,9 +5,8 @@
     python -m repro analyze --rules-file rules.txt
     python -m repro optimize 'aaa?a?'
     python -m repro optimize --rules-file rules.txt -o opt.npz
-    python -m repro match  '(ab)*' input.bin --engine lockstep --chunks 8
-    python -m repro match  '(ab)*' input.bin --engine sfa --chunks 8 \
-        --executor processes --workers 8
+    python -m repro match  '(ab)*' input.bin
+    python -m repro match  '(ab)*' input.bin --plan sfa/p8/processes/stride4
     python -m repro grep   'ERROR [0-9]+' server.log src/ var/log/
     python -m repro grep   -o -n 'ERROR [0-9]+' server.log
     python -m repro grep   -c 'ERROR' logs/        # per-file match-line counts
@@ -16,7 +15,7 @@
     python -m repro ruleset --rules 20 --seed 2940
     python -m repro save --stage ruleset --rules-file rules.txt -o ids.npz
     python -m repro matchset --rules-file ids.npz payload.bin \
-        --chunks 8 --executor processes --kernel stride4
+        --plan sfa/p8/processes/stride4
     python -m repro serve --port 7320 --executor processes --cache-size 128
     python -m repro client match '(ab)*' input.bin --port 7320
     python -m repro client stream 'ERROR [0-9]+' server.log --block-size 4096
@@ -26,9 +25,9 @@
 Every scanning command defaults to ``--plan auto``: a cost model
 (DESIGN.md §3.10) picks engine/kernel/chunking from the input size,
 pattern analysis, core count and the rates persisted by ``repro
-calibrate``.  The explicit ``--engine/--chunks/--executor/--kernel``
-knobs still work and always override the plan; ``--plan off`` restores
-the fixed pre-planner defaults.
+calibrate``.  ``--plan ENGINE/pN/EXECUTOR/KERNEL`` pins one plan instead —
+the same form ``repro plan`` and the service replies print, e.g.
+``sfa/p4/processes/stride4`` or ``lockstep/p1/inline/python``.
 
 ``grep`` is span-driven (DESIGN.md §3.7): files are mmapped (zero-copy),
 scanned **whole** with ``finditer``, and line numbers/matching lines are
@@ -175,51 +174,26 @@ def _cmd_sizes(args: argparse.Namespace) -> int:
     return 0
 
 
-def _plan_and_knobs(args: argparse.Namespace, legacy_chunks: int = 8,
-                    legacy_engine: Optional[str] = None):
-    """Split strategy flags into a ``(plan, knobs)`` pair.
+def _plan_type(text: str):
+    """``--plan`` values: ``auto`` or a :meth:`Plan.summary` string."""
+    from repro.planning.plan import AUTO, Plan
 
-    Under ``--plan auto`` (the default) only flags the user actually
-    passed become knobs — they override the planner (the back-compat
-    pin).  ``--plan off`` restores the exact pre-planner defaults by
-    filling the unset flags with their legacy values.
-    """
-    legacy = getattr(args, "plan", "auto") == "off"
-    knobs = dict(
-        num_chunks=args.chunks,
-        executor=args.executor,
-        num_workers=args.workers,
-        kernel=args.kernel,
-    )
-    if hasattr(args, "engine"):
-        knobs["engine"] = args.engine
-    if not legacy:
-        return "auto", knobs
-    if knobs.get("engine") is None and legacy_engine is not None:
-        knobs["engine"] = legacy_engine
-    if knobs["num_chunks"] is None:
-        knobs["num_chunks"] = legacy_chunks
-    if knobs["kernel"] is None:
-        knobs["kernel"] = "python"
-    return None, knobs
+    if text == AUTO:
+        return AUTO
+    try:
+        return Plan.parse(text)
+    except MatchEngineError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
 
 
 def _cmd_match(args: argparse.Namespace) -> int:
     m = compile_pattern(args.pattern, ignore_case=args.ignore_case)
     data = _read_input(args.input)
-    plan, knobs = _plan_and_knobs(args, legacy_engine="lockstep")
-    if args.contains:
-        ok = m.contains(data, plan=plan, **knobs)
-    else:
-        ok = m.fullmatch(data, plan=plan, **knobs)
+    fn = m.contains if args.contains else m.fullmatch
+    ok = fn(data, plan=args.plan)
     print("match" if ok else "no match")
     return 0 if ok else 1
 
-
-# Below this input size, chunked dispatch cannot amortize its per-call
-# setup (the Fig. 10 crossover) — grep scans smaller files serially.
-# Overridable per run with ``--parallel-threshold``.
-GREP_EXECUTOR_MIN_BYTES = 4096
 
 #: How many leading bytes are NUL-sniffed to classify a file as binary.
 GREP_BINARY_SNIFF_BYTES = 4096
@@ -284,29 +258,15 @@ def _grep_walk(paths: List[str]) -> "tuple[list[str], list[str], bool]":
 def _grep_scan_file(m, path: str, args: argparse.Namespace):
     """Scan one file; returns ``(spans, data, num_lines, newline_index)``.
 
-    ``None`` marks a skipped binary file.  Files at least
-    ``--parallel-threshold`` bytes long engage the chunked scan path
-    (``--chunks``/``--executor``/``--kernel``); smaller files take the
-    serial span pass, which has no dispatch overhead to amortize.
+    ``None`` marks a skipped binary file.  Under ``--plan auto`` the
+    planner scans small files serially (no dispatch overhead to amortize)
+    and may parallelize large ones.
     """
     data = _read_input(path)
     arr = np.frombuffer(data, dtype=np.uint8)
     if b"\0" in bytes(memoryview(data)[:GREP_BINARY_SNIFF_BYTES]):
         return None
-    engaged = len(arr) >= args.parallel_threshold
-    prefilter = False if args.no_prefilter else None
-    if not engaged:
-        # Below the crossover the chunked path cannot win: force the
-        # serial reference scan (and never consult the planner).
-        spans = m.span_engine().spans(
-            data, num_chunks=1, executor=None, num_workers=args.workers,
-            kernel="python", prefilter=prefilter,
-        )
-    else:
-        plan, knobs = _plan_and_knobs(args)
-        spans = m.span_engine().spans(
-            data, plan=plan, prefilter=prefilter, **knobs
-        )
+    spans = m.span_engine().spans(data, plan=args.plan)
     nl = np.flatnonzero(arr == 0x0A)
     # grep line count: a trailing newline terminates the last line rather
     # than opening an empty one.
@@ -370,16 +330,16 @@ def _cmd_grep(args: argparse.Namespace) -> int:
             return e
 
     def results():
-        if len(files) > 1 and args.executor in (None, "serial"):
+        if len(files) > 1 and getattr(args.plan, "executor", None) != "processes":
             # Parallel file walker: scan files concurrently, print in walk
-            # order.  With a chunk executor engaged the parallelism budget
-            # is already spent inside each file, so files go one at a time.
+            # order.  With a pinned process plan the parallelism budget is
+            # already spent inside each file, so files go one at a time.
             # Streaming off the ordered map (not materializing a list)
             # lets each file's mmap and index arrays be freed as soon as
             # its output is emitted.
             from concurrent.futures import ThreadPoolExecutor
 
-            jobs = min(len(files), args.workers or os.cpu_count() or 1, 8)
+            jobs = min(len(files), os.cpu_count() or 1, 8)
             with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
                 yield from zip(files, pool.map(scan, files))
         else:
@@ -485,8 +445,7 @@ def _cmd_matchset(args: argparse.Namespace) -> int:
         optimize=getattr(args, "optimize", False),
     )
     data = _read_input(args.input)
-    plan, knobs = _plan_and_knobs(args)
-    hits = mps.matches(data, plan=plan, **knobs)
+    hits = mps.matches(data, plan=args.plan)
     for i in sorted(hits):
         print(f"{i}:{mps.patterns[i]}")
     print(f"matched {len(hits)}/{mps.num_rules} rules")
@@ -732,7 +691,7 @@ def _run_client_op(c, args: argparse.Namespace) -> int:
         mode = "contains" if (op == "scan" or args.contains) else "fullmatch"
         ok = fn(
             args.pattern, data, mode=mode, ignore_case=args.ignore_case,
-            chunks=args.chunks, kernel=args.kernel, plan=args.plan,
+            plan=args.plan,
         )
         print("match" if ok else "no match")
         return 0 if ok else 1
@@ -740,8 +699,7 @@ def _run_client_op(c, args: argparse.Namespace) -> int:
         data = bytes(memoryview(_read_input(args.input)))
         spans = c.finditer(
             args.pattern, data, ignore_case=args.ignore_case,
-            chunks=args.chunks, kernel=args.kernel, plan=args.plan,
-            limit=args.limit,
+            plan=args.plan, limit=args.limit,
         )
         for s, e in spans:
             print(f"{s}:{e}:{data[s:e].decode('latin-1')}")
@@ -753,10 +711,7 @@ def _run_client_op(c, args: argparse.Namespace) -> int:
                 raise MatchEngineError(
                     "choose --rules-file or --ruleset, not both"
                 )
-            hits = c.multiscan(
-                data=data, ruleset=args.ruleset, chunks=args.chunks,
-                kernel=args.kernel, plan=args.plan,
-            )
+            hits = c.multiscan(data=data, ruleset=args.ruleset, plan=args.plan)
             for i in hits:
                 print(f"{i}:<{args.ruleset}>")
             print(f"matched {len(hits)} rules in ruleset {args.ruleset!r}")
@@ -767,8 +722,8 @@ def _run_client_op(c, args: argparse.Namespace) -> int:
             )
         rules = _client_rules(args)
         hits = c.multiscan(
-            rules, data, chunks=args.chunks, kernel=args.kernel,
-            plan=args.plan, backend=getattr(args, "backend", None),
+            rules, data, plan=args.plan,
+            backend=getattr(args, "backend", None),
         )
         for i in hits:
             print(f"{i}:{rules[i][0]}")
@@ -792,14 +747,14 @@ def _client_stream(c, args: argparse.Namespace) -> int:
     """Feed a file block-wise through a server-side stream session."""
     if args.rules_file is not None:
         stream = c.open_stream(
-            rules=_client_rules(args), kind="multi",
-            chunks=args.chunks, kernel=args.kernel, plan=args.plan,
+            rules=_client_rules(args), kind="multi", plan=args.plan,
         )
     else:
         if args.pattern is None:
             raise MatchEngineError("stream needs a pattern or --rules-file")
         stream = c.open_stream(
             pattern=args.pattern, ignore_case=args.ignore_case,
+            plan=args.plan,
         )
     data = memoryview(_read_input(args.input))
     hit = False
@@ -908,38 +863,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_engine_knobs(p: argparse.ArgumentParser) -> None:
+    def add_plan(p: argparse.ArgumentParser) -> None:
         p.add_argument(
-            "--plan", choices=["auto", "off"], default="auto",
-            help="execution-strategy source: 'auto' (default) picks "
-            "engine/kernel/chunking from the §3.10 cost model (input "
-            "size, pattern analysis, cores, persisted 'repro calibrate' "
-            "rates); 'off' restores the fixed pre-planner defaults. "
-            "Explicit knob flags below always override the plan.",
-        )
-        p.add_argument("--chunks", type=int, default=None,
-                       help="parallel chunk count (the paper's p) "
-                       "(legacy knob; overrides --plan auto)")
-        p.add_argument(
-            "--executor",
-            choices=["serial", "threads", "processes"],
-            default=None,
-            help="chunk-dispatch backend for the chunked engines; "
-            "'processes' runs chunk scans on real cores with "
-            "shared-memory transition tables "
-            "(legacy knob; overrides --plan auto)",
-        )
-        p.add_argument("--workers", type=int, default=None,
-                       help="pool size for threads/processes "
-                       "(default: CPU count)")
-        p.add_argument(
-            "--kernel",
-            choices=["python", "stride2", "stride4", "vector"],
-            default=None,
-            help="chunk-scan kernel: stride2/stride4 precompose the "
-            "table over 2-/4-grams (largest affordable stride under "
-            "the byte budget), vector block-composes mappings in NumPy "
-            "(legacy knob; overrides --plan auto)",
+            "--plan", type=_plan_type, default="auto",
+            metavar="auto|ENGINE/pN/EXECUTOR/KERNEL",
+            help="execution strategy: 'auto' (default) picks engine/"
+            "kernel/chunking from the §3.10 cost model (input size, "
+            "pattern analysis, cores, persisted 'repro calibrate' "
+            "rates); a summary such as sfa/p4/processes/stride4 pins "
+            "one plan (engines dfa/speculative/sfa/lockstep, executors "
+            "inline/serial/processes, kernels python/stride2/stride4)",
         )
 
     def add_common(p: argparse.ArgumentParser, with_input: bool = False) -> None:
@@ -947,14 +880,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("-i", "--ignore-case", action="store_true")
         if with_input:
             p.add_argument("input", help="input file, or - for stdin")
-            p.add_argument(
-                "--engine",
-                choices=["dfa", "speculative", "sfa", "lockstep"],
-                default=None,
-                help="acceptance engine (legacy knob; overrides --plan "
-                "auto; --plan off defaults to lockstep)",
-            )
-            add_engine_knobs(p)
+            add_plan(p)
 
     p = sub.add_parser("sizes", help="print pipeline automaton sizes")
     add_common(p)
@@ -1048,19 +974,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print each (non-empty) match instead of its line")
     p.add_argument("-c", "--count", action="store_true",
                    help="print the number of matching lines per file")
-    add_engine_knobs(p)
-    p.add_argument(
-        "--no-prefilter", action="store_true",
-        help="disable the literal-factor skip-ahead (§3.9.3) and always "
-        "run the exact backward start pass; output is identical either "
-        "way",
-    )
-    p.add_argument(
-        "--parallel-threshold", type=int, default=GREP_EXECUTOR_MIN_BYTES,
-        help="file size in bytes below which the chunked scan path "
-        "(--chunks/--executor/--kernel) is bypassed (default: the "
-        f"measured Fig. 10 crossover, {GREP_EXECUTOR_MIN_BYTES})",
-    )
+    add_plan(p)
     p.set_defaults(func=_cmd_grep)
 
     p = sub.add_parser("dot", help="emit Graphviz DOT for a pipeline stage")
@@ -1131,7 +1045,7 @@ def build_parser() -> argparse.ArgumentParser:
         "files only): output is bit-identical, the union automaton is "
         "smaller",
     )
-    add_engine_knobs(p)
+    add_plan(p)
     p.set_defaults(func=_cmd_matchset)
 
     p = sub.add_parser(
@@ -1145,7 +1059,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-size", type=int, default=64,
                    help="compiled-artifact LRU capacity in entries")
     p.add_argument(
-        "--executor", choices=["serial", "threads", "processes"],
+        "--executor", choices=["serial", "processes"],
         default="serial",
         help="shared warm chunk-executor pool for chunked requests "
         "(lifetime tied to the server; drained on shutdown)",
@@ -1181,21 +1095,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timeout", type=float, default=30.0)
     csub = p.add_subparsers(dest="cop", required=True, metavar="op")
 
-    def add_client_knobs(cp: argparse.ArgumentParser) -> None:
+    def add_client_plan(cp: argparse.ArgumentParser) -> None:
         cp.add_argument(
-            "--plan", choices=["auto", "off"], default=None,
-            help="ask the server to plan the scan ('auto': its §3.10 "
-            "cost model; 'off'/omitted: the op's legacy defaults)",
-        )
-        cp.add_argument("--chunks", type=int, default=None,
-                        help="chunk-parallel scan width on the server "
-                        "(legacy knob; overrides --plan auto)")
-        cp.add_argument(
-            "--kernel",
-            choices=["python", "stride2", "stride4", "vector"],
-            default=None,
-            help="server-side scan kernel "
-            "(legacy knob; overrides --plan auto)",
+            "--plan", type=_plan_type, default=None,
+            metavar="auto|ENGINE/pN/EXECUTOR/KERNEL",
+            help="plan the server runs the scan with (omitted: the op's "
+            "server-side default, 'auto' for most ops); a pinned plan may "
+            "name only the server's own executor",
         )
 
     csub.add_parser("ping", help="liveness probe")
@@ -1218,7 +1124,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="substring-search semantics")
         if cop == "finditer":
             cp.add_argument("--limit", type=int, default=None)
-        add_client_knobs(cp)
+        add_client_plan(cp)
     cp = csub.add_parser(
         "analyze",
         help="server-side static analysis (JSON report; exit 1 flags "
@@ -1248,7 +1154,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="server-side union-automaton backend "
         "(omitted: the server's default, 'auto')",
     )
-    add_client_knobs(cp)
+    add_client_plan(cp)
     cp = csub.add_parser(
         "stream",
         help="feed a file block-wise through a stateful stream session",
@@ -1262,7 +1168,7 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("-i", "--ignore-case", action="store_true")
     cp.add_argument("--block-size", type=int, default=65536,
                     help="bytes per feed block")
-    add_client_knobs(cp)
+    add_client_plan(cp)
     p.set_defaults(func=_cmd_client)
 
     p = sub.add_parser(

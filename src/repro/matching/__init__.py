@@ -22,7 +22,6 @@ from repro.matching.sequential import SequentialDFAMatcher, sequential_run
 from repro.matching.spans import SpanEngine
 from repro.matching.speculative import SpeculativeDFAMatcher, speculative_run
 from repro.matching.stream import (
-    ParallelStreamMatcher,
     StreamingMultiMatcher,
     StreamingMultiSpanMatcher,
     StreamingSpanMatcher,
@@ -34,7 +33,6 @@ __all__ = [
     "LockstepSFAMatcher",
     "MultiPatternSet",
     "ParallelSFAMatcher",
-    "ParallelStreamMatcher",
     "SequentialDFAMatcher",
     "SpanEngine",
     "SpeculativeDFAMatcher",

@@ -22,23 +22,19 @@ from repro.automata.dfa import DFA, minimize, subset_construction
 from repro.automata.lazy import LazyDFA, LazySFA
 from repro.automata.nfa import NFA, glushkov_nfa
 from repro.automata.sfa import SFA, correspondence_construction
-from repro.errors import MatchEngineError, StateExplosionError
+from repro.errors import StateExplosionError
 from repro.matching.lockstep import lockstep_run
 from repro.matching.parallel_sfa import parallel_sfa_run
 from repro.matching.sequential import SequentialDFAMatcher
 from repro.matching.speculative import speculative_run
 from repro.parallel.executor import ChunkExecutor
-from repro.planning.plan import Plan, PlanArg, resolve_plan
+from repro.planning.plan import AUTO, Plan, PlanArg, resolve_plan
 from repro.regex.ast import Concat, Literal, Node, Star
 from repro.regex.charclass import ByteClassPartition, CharSet
 from repro.regex.parser import parse
 
 DEFAULT_MAX_DFA_STATES = 100_000
 DEFAULT_MAX_SFA_STATES = 2_000_000
-
-#: Legacy default strategy of :meth:`CompiledPattern.contains` (pre-planner
-#: behaviour when ``plan=None`` and no knobs are passed).
-_CONTAINS_DEFAULTS = Plan(engine="lockstep", num_chunks=8)
 
 
 class CompiledPattern:
@@ -156,133 +152,87 @@ class CompiledPattern:
         self,
         data: Union[bytes, bytearray, memoryview],
         *,
-        plan: PlanArg = None,
-        engine: Optional[str] = None,
-        num_chunks: Optional[int] = None,
-        reduction: Optional[str] = None,
-        executor=None,
-        num_workers: Optional[int] = None,
-        kernel: Optional[str] = None,
+        plan: PlanArg = AUTO,
+        executor: Optional[ChunkExecutor] = None,
     ) -> bool:
         """Whole-input membership test ``data ∈ L(pattern)``.
 
-        ``plan`` selects the whole execution strategy at once: ``None``
-        (the legacy default — Algorithm 2 on the minimal DFA), ``"auto"``
-        (the §3.10 cost model picks engine/kernel/chunking from input
-        length, pattern facts, core count and calibration), or an explicit
-        :class:`~repro.planning.plan.Plan`.
+        ``plan`` is the whole execution strategy: ``"auto"`` (the default:
+        the §3.10 cost model picks engine/kernel/chunking from input
+        length, pattern facts, core count and calibration) or an explicit
+        :class:`~repro.planning.plan.Plan` — engine ``"dfa"`` is
+        Algorithm 2, ``"speculative"`` Algorithm 3, ``"sfa"`` Algorithm 5
+        and ``"lockstep"`` its vectorized form; ``num_chunks`` is the
+        paper's thread count ``p``; ``kernel`` the chunk-scan kernel
+        (DESIGN.md §3.5).  ``executor`` is an optional caller-owned
+        :class:`~repro.parallel.executor.ChunkExecutor` that runs the
+        plan's chunk dispatch in place of its named backend's shared pool.
 
-        The legacy knobs remain accepted and, when passed explicitly,
-        override the corresponding plan field (back-compat pin):
-
-        * ``engine`` ∈ {"dfa", "speculative", "sfa", "lockstep"} — ``dfa``
-          is Algorithm 2, ``speculative`` Algorithm 3, ``sfa`` Algorithm 5
-          and ``lockstep`` its vectorized form; ``num_chunks`` is the
-          paper's thread count ``p``;
-        * ``executor`` — chunk-dispatch backend for the chunked engines
-          (``"sfa"``/``"speculative"``): ``None`` (serial), a backend name
-          in {"serial", "threads", "processes"} — resolved to a warm
-          process-wide pool of ``num_workers`` workers — or any
-          :class:`~repro.parallel.executor.ChunkExecutor` instance.  The
-          single-scan engines (``"dfa"``, ``"lockstep"``) ignore it;
-        * ``kernel`` ∈ {"python", "stride2", "stride4", "vector"} — the
-          chunk-scan kernel (DESIGN.md §3.5) for the ``speculative``,
-          ``sfa`` and ``lockstep`` engines; the stride kernels precompose
-          the transition table over 2-/4-grams (budget-permitting) so each
-          lookup consumes several symbols.  ``"dfa"`` ignores it
-          (Algorithm 2 is the paper's scalar baseline).
-
-        Results are plan-invariant: every resolution scans the same
-        automata and returns the same verdict.
+        Results are plan-invariant: every plan scans the same automata
+        and returns the same verdict.
         """
         classes = self.translate(data)
-        p = resolve_plan(
-            plan, "fullmatch", len(classes), subject=self,
-            engine=engine, num_chunks=num_chunks, reduction=reduction,
-            executor=executor, num_workers=num_workers, kernel=kernel,
-        )
-        return self._run_plan(
-            p, classes,
-            executor if isinstance(executor, ChunkExecutor) else None,
-        )
+        p = resolve_plan(plan, "fullmatch", len(classes), subject=self)
+        return self._run_plan(p, classes, executor)
 
     def _run_plan(
         self,
         p: Plan,
         classes: np.ndarray,
-        ex_instance: Optional[ChunkExecutor] = None,
+        executor: Optional[ChunkExecutor] = None,
     ) -> bool:
-        """Execute a resolved acceptance plan over translated input.
+        """Execute a resolved acceptance plan over translated input — the
+        one place a :class:`Plan` becomes runner arguments.
 
-        ``ex_instance`` carries a caller-supplied executor *object* (plans
-        only hold backend names).  Plans the cost model chose itself fall
-        back to the serial DFA walk if the D-SFA construction blows its
-        state budget — an auto plan must never fail where the python
-        baseline succeeds.
+        Plans the cost model chose itself fall back to the serial DFA
+        walk if the D-SFA construction blows its state budget — an auto
+        plan must never fail where the python baseline succeeds.
         """
         try:
-            if p.engine == "dfa":
-                return bool(
-                    self.min_dfa.accept[
-                        SequentialDFAMatcher(self.min_dfa).run_classes(classes)
-                    ]
-                )
-            # Resolve lazily: the single-scan engines must not spin up a pool.
-            if p.engine == "speculative":
-                return speculative_run(
-                    self.min_dfa, classes, p.num_chunks, p.reduction,
-                    ex_instance or p.resolve_executor(), p.kernel,
-                ).accepted
-            if p.engine == "sfa":
-                return parallel_sfa_run(
-                    self.sfa, classes, p.num_chunks, p.reduction,
-                    ex_instance or p.resolve_executor(), p.kernel,
-                ).accepted
             if p.engine == "lockstep":
                 return lockstep_run(
                     self.sfa, classes, p.num_chunks, p.kernel
                 ).accepted
+            # Resolve lazily: the single-scan engines must not spin up a pool.
+            if p.engine == "speculative":
+                return speculative_run(
+                    self.min_dfa, classes, p.num_chunks, p.reduction,
+                    p.resolve_executor(executor), p.kernel,
+                ).accepted
+            if p.engine == "sfa":
+                return parallel_sfa_run(
+                    self.sfa, classes, p.num_chunks, p.reduction,
+                    p.resolve_executor(executor), p.kernel,
+                ).accepted
         except StateExplosionError:
             if p.source != "auto":
                 raise
-            return bool(
-                self.min_dfa.accept[
-                    SequentialDFAMatcher(self.min_dfa).run_classes(classes)
-                ]
-            )
-        raise MatchEngineError(f"unknown engine {p.engine!r}")
+        # Algorithm 2 — the "dfa" engine, and an auto plan's fallback.
+        return bool(
+            self.min_dfa.accept[
+                SequentialDFAMatcher(self.min_dfa).run_classes(classes)
+            ]
+        )
 
     def contains(
         self,
         data: Union[bytes, bytearray, memoryview],
         *,
-        plan: PlanArg = None,
-        engine: Optional[str] = None,
-        num_chunks: Optional[int] = None,
-        executor=None,
-        num_workers: Optional[int] = None,
-        kernel: Optional[str] = None,
+        plan: PlanArg = AUTO,
+        executor: Optional[ChunkExecutor] = None,
     ) -> bool:
         """Substring-search semantics: does any substring match?
 
         Implemented as membership in ``Σ* · L · Σ*`` (the IDS use case —
-        SNORT rules are matched against packet payloads this way).  The
-        plan/knob semantics match :meth:`fullmatch`; the legacy default is
-        the lockstep engine with 8 chunks, and auto plans are costed
-        against the containment automaton (the one actually scanned).
+        SNORT rules are matched against packet payloads this way).
+        ``plan``/``executor`` as in :meth:`fullmatch`; auto plans are
+        costed against the containment automaton (the one actually
+        scanned).
         """
         sp = self.search_pattern()
         classes = sp.translate(data)
-        p = resolve_plan(
-            plan, "contains", len(classes), subject=sp,
-            defaults=_CONTAINS_DEFAULTS,
-            engine=engine, num_chunks=num_chunks,
-            executor=executor, num_workers=num_workers, kernel=kernel,
-        )
-        return sp._run_plan(
-            p, classes,
-            executor if isinstance(executor, ChunkExecutor) else None,
-        )
+        p = resolve_plan(plan, "contains", len(classes), subject=sp)
+        return sp._run_plan(p, classes, executor)
 
     def search_pattern(self) -> "CompiledPattern":
         """The compiled ``Σ* · pattern · Σ*`` containment automaton."""
@@ -303,61 +253,61 @@ class CompiledPattern:
         self,
         data: Union[bytes, bytearray, memoryview],
         *,
-        plan: PlanArg = None,
-        num_chunks: Optional[int] = None,
-        executor=None,
-        num_workers: Optional[int] = None,
-        kernel: Optional[str] = None,
-        prefilter: Optional[bool] = None,
+        plan: PlanArg = AUTO,
+        executor: Optional[ChunkExecutor] = None,
     ):
         """Iterate the leftmost-longest non-overlapping ``(start, end)``
         spans of the pattern in ``data`` (DESIGN.md §3.7).
 
-        ``plan`` resolves exactly as in :meth:`fullmatch`; the legacy
-        knobs ``num_chunks``/``executor``/``num_workers``/``kernel``
-        parallelize the whole-input start pass and override the plan when
-        passed.  Spans are invariant under all of them.
-        ``prefilter=False`` disables the literal skip-ahead (§3.9.3);
-        spans are invariant under that too.  Semantics match
-        ``re.finditer`` except that alternation resolves to the *longest*
-        branch (POSIX leftmost-longest) rather than the first.
+        ``plan``/``executor`` as in :meth:`fullmatch`: the plan's
+        chunking, dispatch and kernel parallelize the whole-input start
+        pass, and ``Plan(prefilter=False)`` disables the literal
+        skip-ahead (§3.9.3).  Spans are invariant under all of them.
+        Semantics match ``re.finditer`` except that alternation resolves
+        to the *longest* branch (POSIX leftmost-longest) rather than the
+        first.
         """
         return iter(
-            self.span_engine().spans(
-                data, plan=plan, num_chunks=num_chunks, executor=executor,
-                num_workers=num_workers, kernel=kernel, prefilter=prefilter,
-            )
+            self.span_engine().spans(data, plan=plan, executor=executor)
         )
 
     def find(
         self,
         data: Union[bytes, bytearray, memoryview],
-        **knobs,
+        *,
+        plan: PlanArg = AUTO,
+        executor: Optional[ChunkExecutor] = None,
     ) -> Optional[tuple]:
-        """First leftmost-longest span, or ``None``.  Knobs as
-        :meth:`finditer`."""
-        spans = self.span_engine().spans(data, limit=1, **knobs)
+        """First leftmost-longest span, or ``None``.  ``plan``/``executor``
+        as :meth:`finditer`."""
+        spans = self.span_engine().spans(
+            data, plan=plan, executor=executor, limit=1
+        )
         return spans[0] if spans else None
 
     def count(
         self,
         data: Union[bytes, bytearray, memoryview],
-        **knobs,
+        *,
+        plan: PlanArg = AUTO,
+        executor: Optional[ChunkExecutor] = None,
     ) -> int:
-        """Number of non-overlapping matches.  Knobs as :meth:`finditer`."""
-        return len(self.span_engine().spans(data, **knobs))
+        """Number of non-overlapping matches.  ``plan``/``executor`` as
+        :meth:`finditer`."""
+        return len(self.span_engine().spans(data, plan=plan, executor=executor))
 
     def findall(
         self,
         data: Union[bytes, bytearray, memoryview],
-        **knobs,
+        *,
+        plan: PlanArg = AUTO,
+        executor: Optional[ChunkExecutor] = None,
     ) -> List[bytes]:
-        """The matched byte strings, in order.  Knobs as :meth:`finditer`."""
+        """The matched byte strings, in order.  ``plan``/``executor`` as
+        :meth:`finditer`."""
         buf = data if isinstance(data, (bytes, bytearray)) else memoryview(data)
-        return [
-            bytes(buf[s:e])
-            for s, e in self.span_engine().spans(data, **knobs)
-        ]
+        spans = self.span_engine().spans(data, plan=plan, executor=executor)
+        return [bytes(buf[s:e]) for s, e in spans]
 
     # -- reporting -------------------------------------------------------
     def sizes(self) -> dict:
@@ -418,7 +368,7 @@ def compile_pattern(
     >>> m = compile_pattern("(ab)*")
     >>> m.fullmatch(b"abab")
     True
-    >>> m.fullmatch(b"abab", engine="lockstep", num_chunks=4)
+    >>> m.fullmatch(b"abab", plan=Plan(engine="lockstep", num_chunks=4))
     True
     """
     return CompiledPattern(

@@ -29,12 +29,8 @@ from repro.parallel.reduction import (
     sequential_reduction_dsfa,
     sequential_reduction_nsfa,
 )
-from repro.parallel.scan import KERNELS, sfa_scan
-from repro.planning.plan import Plan, resolve_plan
+from repro.parallel.scan import check_kernel, sfa_scan
 from repro.regex.charclass import pack_stride
-
-#: Legacy defaults of a bare ``lockstep_run`` call.
-_RUN_DEFAULTS = Plan(engine="lockstep")
 
 
 @dataclass
@@ -51,10 +47,9 @@ class LockstepRunResult:
 def lockstep_run(
     sfa: SFA,
     classes: np.ndarray,
-    num_chunks: Optional[int] = None,
-    kernel: Optional[str] = None,
+    num_chunks: int = 1,
+    kernel: str = "python",
     stride_budget: Optional[int] = None,
-    plan=None,
 ) -> LockstepRunResult:
     """Run Algorithm 5 with all chunk scans advancing in lockstep.
 
@@ -67,18 +62,9 @@ def lockstep_run(
     ``kernel`` ∈ :data:`~repro.parallel.scan.KERNELS`: the stride kernels
     advance every chunk by 2/4 symbols per gather via a precomposed
     superalphabet table (budget-permitting, degrading stride4 → stride2 →
-    1-gram; ``stride_budget`` overrides the default table-byte cap);
-    ``"vector"`` is accepted as an alias of ``"python"`` — this engine is
-    already fully vectorized.
-
-    ``plan`` bundles ``num_chunks``/``kernel`` (explicit knobs win; a bare
-    call keeps the legacy defaults of one chunk and the python kernel).
+    1-gram; ``stride_budget`` overrides the default table-byte cap).
     """
-    p_ = resolve_plan(
-        plan, "multi", len(classes), subject=sfa, defaults=_RUN_DEFAULTS,
-        num_chunks=num_chunks, kernel=kernel,
-    )
-    num_chunks, kernel = p_.num_chunks, p_.kernel
+    check_kernel(kernel)
     table = sfa.table
     scan_classes = classes
     stride_tail = None
@@ -143,8 +129,7 @@ class LockstepSFAMatcher:
     def __init__(self, sfa: SFA, num_chunks: int = 8, kernel: str = "python"):
         if num_chunks < 1:
             raise MatchEngineError("num_chunks must be >= 1")
-        if kernel not in KERNELS:
-            raise MatchEngineError(f"unknown kernel {kernel!r}")
+        check_kernel(kernel)
         self.sfa = sfa
         self.num_chunks = num_chunks
         self.kernel = kernel

@@ -24,13 +24,8 @@ from repro.parallel.reduction import (
     tree_reduction_boolean,
     tree_reduction_transformations,
 )
-from repro.parallel.scan import KERNELS, sfa_scan
-from repro.planning.plan import Plan, resolve_plan
+from repro.parallel.scan import check_kernel, sfa_scan
 from repro.regex.charclass import pack_stride
-
-#: Legacy defaults of a bare ``parallel_sfa_run`` call: one chunk,
-#: sequential reduction, per-byte python kernel.
-_RUN_DEFAULTS = Plan(engine="sfa")
 
 
 def sfa_chunk_scan(table: np.ndarray, initial: int, classes: np.ndarray) -> int:
@@ -57,45 +52,30 @@ class ParallelSFARunResult:
 def parallel_sfa_run(
     sfa: SFA,
     classes: np.ndarray,
-    num_chunks: Optional[int] = None,
-    reduction: Optional[str] = None,
+    num_chunks: int = 1,
+    reduction: str = "sequential",
     executor: Optional[ChunkExecutor] = None,
-    kernel: Optional[str] = None,
+    kernel: str = "python",
     stride_budget: Optional[int] = None,
-    plan=None,
 ) -> ParallelSFARunResult:
     """Full Algorithm 5.
 
-    ``plan`` bundles the strategy knobs (``"auto"`` asks the §3.10 cost
-    model, costed against the SFA being scanned); explicitly-passed
-    legacy knobs override it, and with no plan the legacy defaults apply
-    (one chunk, sequential reduction, python kernel).
-
-    ``reduction`` ∈ {"sequential", "tree"}; ``executor`` controls how chunk
-    scans are dispatched — serial by default, a thread pool for the paper's
-    pthread structure, or a :class:`~repro.parallel.executor.ProcessExecutor`
-    for true multicore execution (the spans-based :meth:`scan` protocol lets
-    the process backend ship shared-memory references instead of tables).
+    ``reduction`` ∈ {"sequential", "tree"}; ``executor`` dispatches the
+    chunk scans — serial when ``None``, or a
+    :class:`~repro.parallel.executor.ProcessExecutor` for true multicore
+    execution (the spans-based :meth:`scan` protocol lets the process
+    backend ship shared-memory references instead of tables).
 
     ``kernel`` picks the chunk-scan kernel (DESIGN.md §3.5): ``"python"``
     is the reference per-byte loop, ``"stride2"``/``"stride4"`` scan a
     precomposed superalphabet table so each lookup consumes 2/4 symbols
     (degrading to the largest affordable stride — then ``"python"`` — when
     a table exceeds its byte budget; ``stride_budget`` overrides the
-    default cap), and ``"vector"`` block-composes mappings in NumPy.
-    ``num_chunks`` is clamped to the symbol count so no empty chunk is
-    ever dispatched.
+    default cap).  ``num_chunks`` is clamped to the symbol count so no
+    empty chunk is ever dispatched.
     """
-    ex_instance = executor if isinstance(executor, ChunkExecutor) else None
-    p = resolve_plan(
-        plan, "fullmatch", len(classes), subject=sfa,
-        defaults=_RUN_DEFAULTS,
-        num_chunks=num_chunks, reduction=reduction,
-        executor=None if ex_instance is not None else executor,
-        kernel=kernel,
-    )
-    num_chunks, reduction, kernel = p.num_chunks, p.reduction, p.kernel
-    executor = ex_instance or p.resolve_executor() or SerialExecutor()
+    check_kernel(kernel)
+    executor = executor or SerialExecutor()
     st = None
     if kernel in ("stride2", "stride4"):
         st = best_stride_table(
@@ -113,10 +93,9 @@ def parallel_sfa_run(
             chunk_states[-1] = sfa_scan(sfa.table, chunk_states[-1], tail)
         lookups = len(packed) + len(tail)
     else:
-        scan_kernel = kernel if kernel == "vector" else "python"
         spans = split_balanced(len(classes), clamp_chunks(len(classes), num_chunks))
         chunk_states = list(
-            executor.scan("sfa", sfa.table, sfa.initial, classes, spans, scan_kernel)
+            executor.scan("sfa", sfa.table, sfa.initial, classes, spans)
         )
         lookups = int(len(classes))
 
@@ -194,8 +173,7 @@ class ParallelSFAMatcher:
             raise MatchEngineError("num_chunks must be >= 1")
         if reduction not in ("sequential", "tree"):
             raise MatchEngineError(f"unknown reduction {reduction!r}")
-        if kernel not in KERNELS:
-            raise MatchEngineError(f"unknown kernel {kernel!r}")
+        check_kernel(kernel)
         self.sfa = sfa
         self.num_chunks = num_chunks
         self.reduction = reduction

@@ -39,7 +39,7 @@ a *scan* (in the parallel-prefix sense) over the reversed input —
 
 * each chunk reports its **partial-match state**: the D-SFA mapping of
   ``B`` over the chunk (computed from the identity, embarrassingly
-  parallel, stride/vector kernels apply);
+  parallel, stride kernels apply);
 * a **sequential stitch** composes the mappings (``O(p)``) to recover the
   exact ``B`` state entering each chunk boundary — the open prefix/suffix
   state of the chunk-composition model;
@@ -87,6 +87,7 @@ from repro.parallel.scan import (
     mask_scan,
     sfa_scan,
 )
+from repro.planning.plan import AUTO, resolve_plan
 from repro.regex.ast import Concat, Literal, Star, reverse_node
 from repro.regex.charclass import CharSet, pack_stride
 from repro.util.bitset import iter_bits
@@ -171,42 +172,29 @@ class SpanEngine:
         self,
         data: Data,
         *,
-        plan=None,
-        num_chunks: Optional[int] = None,
-        executor=None,
-        num_workers: Optional[int] = None,
-        kernel: Optional[str] = None,
+        plan=AUTO,
+        executor: Optional[ChunkExecutor] = None,
         limit: Optional[int] = None,
-        prefilter: Optional[bool] = None,
     ) -> List[Span]:
         """All leftmost-longest non-overlapping ``(start, end)`` spans.
 
-        ``plan`` resolves as everywhere else (``None`` = the legacy serial
-        defaults, ``"auto"`` = the §3.10 cost model, or an explicit
-        :class:`~repro.planning.plan.Plan`); explicitly-passed legacy
-        knobs override the plan.  ``prefilter`` controls the literal
-        skip-ahead: ``None`` (default) engages it whenever the analyzer
-        produced a plan, ``False`` forces the exact backward start pass
-        (the two are span-identical — the prefilter only over-approximates
-        *candidate* starts; the emission walk rejects the false ones).
+        ``plan`` resolves as everywhere else (``"auto"`` = the §3.10 cost
+        model, or an explicit :class:`~repro.planning.plan.Plan`);
+        ``executor`` is a caller-owned pool for the plan's dispatch.  The
+        plan's ``prefilter`` controls the literal skip-ahead: ``None``
+        engages it whenever the analyzer produced a plan, ``False`` forces
+        the exact backward start pass (the two are span-identical — the
+        prefilter only over-approximates *candidate* starts; the emission
+        walk rejects the false ones).
         """
-        from repro.planning.plan import resolve_plan
-
-        p = resolve_plan(
-            plan, "spans", len(data), subject=self.pattern,
-            num_chunks=num_chunks, executor=executor,
-            num_workers=num_workers, kernel=kernel, prefilter=prefilter,
-        )
+        p = resolve_plan(plan, "spans", len(data), subject=self.pattern)
         classes = self.partition.translate(data)
         if self.prefilter is not None and p.prefilter is not False:
             bits = self.prefilter_bits(data, len(classes))
         else:
-            ex = (
-                executor
-                if isinstance(executor, ChunkExecutor)
-                else p.resolve_executor()
+            bits = self.start_bits(
+                classes, p.num_chunks, p.resolve_executor(executor), p.kernel
             )
-            bits = self.start_bits(classes, p.num_chunks, ex, p.kernel)
         out, _ = self._emit(classes, bits, limit=limit)
         return out
 
@@ -289,7 +277,7 @@ class SpanEngine:
         """The Algorithm-5 generalization: parallel start pass over ``rev``.
 
         Phase 1 scans each chunk's B-D-SFA mapping from the identity
-        (parallel; stride/vector kernels apply).  Phase 2 stitches the
+        (parallel; stride kernels apply).  Phase 2 stitches the
         mappings sequentially into exact chunk-boundary states.  Phase 3
         re-scans each chunk from its boundary state emitting local accept
         bits (parallel, ``"mask"`` kind).  Returns ``None`` when the
@@ -319,11 +307,9 @@ class SpanEngine:
                 )
             sym_spans[-1] = (sym_spans[-1][0], n)
         else:
-            scan_kernel = "vector" if kernel == "vector" else "python"
             sym_spans = split_balanced(n, p)
             chunk_states = list(
-                ex.scan("sfa", bsfa.table, bsfa.initial, rev, sym_spans,
-                        scan_kernel)
+                ex.scan("sfa", bsfa.table, bsfa.initial, rev, sym_spans)
             )
         bounds: List[int] = []
         run = bsfa.initial
@@ -331,8 +317,7 @@ class SpanEngine:
             bounds.append(int(bsfa.apply_mapping(run, bsfa.origin_initial)))
             run = bsfa.compose_indices(run, int(cs))
         masks = ex.scan(
-            "mask", bdfa.table, bounds, rev, sym_spans, "python",
-            accept=bdfa.accept,
+            "mask", bdfa.table, bounds, rev, sym_spans, accept=bdfa.accept
         )
         return np.concatenate([np.asarray(m, dtype=np.bool_) for m in masks])
 

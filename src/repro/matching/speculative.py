@@ -21,12 +21,8 @@ from repro.automata.stride import best_stride_table
 from repro.errors import MatchEngineError
 from repro.parallel.chunking import clamp_chunks, split_balanced
 from repro.parallel.executor import ChunkExecutor, SerialExecutor
-from repro.parallel.scan import KERNELS, table_columns, transform_scan
-from repro.planning.plan import Plan, resolve_plan
+from repro.parallel.scan import check_kernel, table_columns, transform_scan
 from repro.regex.charclass import pack_stride
-
-#: Legacy defaults of a bare ``speculative_run`` call.
-_RUN_DEFAULTS = Plan(engine="speculative")
 
 
 def chunk_transformation(table: np.ndarray, classes: np.ndarray) -> np.ndarray:
@@ -68,17 +64,12 @@ class SpeculativeRunResult:
 def speculative_run(
     dfa: DFA,
     classes: np.ndarray,
-    num_chunks: Optional[int] = None,
-    reduction: Optional[str] = None,
+    num_chunks: int = 1,
+    reduction: str = "sequential",
     executor: Optional[ChunkExecutor] = None,
-    kernel: Optional[str] = None,
-    plan=None,
+    kernel: str = "python",
 ) -> SpeculativeRunResult:
     """Full Algorithm 3: chunked speculative scan + reduction.
-
-    ``plan`` bundles the strategy knobs (explicit legacy knobs win; with
-    neither, the legacy defaults apply: one chunk, sequential reduction,
-    python kernel).
 
     ``reduction`` ∈ {"sequential", "tree"}:
 
@@ -87,23 +78,16 @@ def speculative_run(
     * ``tree`` — compose transformations pairwise (line 9 left column):
       each ``⊙`` costs ``O(|D|)`` work here (gather of width ``|D|``).
 
-    ``executor`` dispatches the chunk scans (serial / threads / processes),
-    exactly as in :func:`repro.matching.parallel_sfa.parallel_sfa_run`, and
-    ``kernel`` likewise picks the scan kernel (DESIGN.md §3.5): for the
-    all-states scan the stride kernels compose 2-/4-grams into the table
-    and run the vector shape over the packed stream.  ``num_chunks`` is
-    clamped to the symbol count so no empty chunk is dispatched.
+    ``executor`` dispatches the chunk scans (serial when ``None``),
+    exactly as in :func:`repro.matching.parallel_sfa.parallel_sfa_run`,
+    and ``kernel`` likewise picks the scan kernel (DESIGN.md §3.5): for
+    the all-states scan the stride kernels compose 2-/4-grams into the
+    table and run the block-composed transform scan over the packed
+    stream.  ``num_chunks`` is clamped to the symbol count so no empty
+    chunk is dispatched.
     """
-    ex_instance = executor if isinstance(executor, ChunkExecutor) else None
-    p = resolve_plan(
-        plan, "fullmatch", len(classes), subject=dfa,
-        defaults=_RUN_DEFAULTS,
-        num_chunks=num_chunks, reduction=reduction,
-        executor=None if ex_instance is not None else executor,
-        kernel=kernel,
-    )
-    num_chunks, reduction, kernel = p.num_chunks, p.reduction, p.kernel
-    executor = ex_instance or p.resolve_executor() or SerialExecutor()
+    check_kernel(kernel)
+    executor = executor or SerialExecutor()
     n = dfa.num_states
     st = None
     if kernel in ("stride2", "stride4"):
@@ -112,7 +96,7 @@ def speculative_run(
         packed, tail = pack_stride(classes, dfa.num_classes, st.stride)
         spans = split_balanced(len(packed), clamp_chunks(len(packed), num_chunks))
         parts = list(
-            executor.scan("transform", st.table, 0, packed, spans, "vector")
+            executor.scan("transform_block", st.table, 0, packed, spans)
         )
         if len(tail):
             # compose the < stride leftover into the last chunk's mapping
@@ -123,11 +107,8 @@ def speculative_run(
             parts[-1] = t
         lookups = (len(packed) + len(tail)) * n
     else:
-        scan_kernel = kernel if kernel == "vector" else "python"
         spans = split_balanced(len(classes), clamp_chunks(len(classes), num_chunks))
-        parts = list(
-            executor.scan("transform", dfa.table, 0, classes, spans, scan_kernel)
-        )
+        parts = list(executor.scan("transform", dfa.table, 0, classes, spans))
         lookups = len(classes) * n
     if reduction == "sequential":
         q = dfa.initial
@@ -164,8 +145,7 @@ class SpeculativeDFAMatcher:
     ):
         if num_chunks < 1:
             raise MatchEngineError("num_chunks must be >= 1")
-        if kernel not in KERNELS:
-            raise MatchEngineError(f"unknown kernel {kernel!r}")
+        check_kernel(kernel)
         self.dfa = dfa
         self.num_chunks = num_chunks
         self.reduction = reduction

@@ -10,16 +10,15 @@ without replaying.
 
 Blocks are accepted as ``bytes``, ``bytearray`` or ``memoryview`` and are
 translated through the buffer protocol without copying.  All cursors take
-the same ``kernel`` knob as the offline engines (DESIGN.md §3.5), so a
-stream can be scanned with the multi-stride or vectorized kernels.
+the same ``plan`` as the offline engines (``"auto"`` plans an unknown
+length), so a stream can be scanned with the multi-stride kernels.
 
-Five cursor flavours:
+Four cursor flavours:
 
 * :class:`StreamMatcher` — runs the SFA table directly (state index), one
-  lookup per byte (per 2/4 bytes with a stride kernel); ``feed`` is
-  sequential per block.
-* :class:`ParallelStreamMatcher` — scans each block with ``p`` lockstep
-  chunks and composes the block mapping into the running state via the
+  lookup per byte (per 2/4 bytes with a stride kernel); a plan with
+  ``p > 1`` chunks scans each block with ``p`` lockstep chunks instead
+  and composes the block mapping into the running state via the
   (monoid-closed) composition index.
 * :class:`StreamingMultiMatcher` — the same running-state machinery over
   a whole compiled ruleset's union automaton; each ``feed`` reports the
@@ -40,8 +39,9 @@ import numpy as np
 from repro.automata.sfa import SFA
 from repro.errors import MatchEngineError
 from repro.matching.lockstep import lockstep_run
+from repro.parallel.executor import ChunkExecutor
 from repro.parallel.scan import scan_block
-from repro.planning.plan import Plan, PlanArg, resolve_plan
+from repro.planning.plan import AUTO, PlanArg, resolve_plan
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.matching.multi import MultiPatternSet
@@ -50,16 +50,19 @@ Block = Union[bytes, bytearray, memoryview]
 
 
 class StreamMatcher:
-    """Online membership cursor over a fixed SFA."""
+    """Online membership cursor over a fixed SFA.
 
-    def __init__(
-        self, sfa: SFA, kernel: Optional[str] = None, plan: PlanArg = None,
-    ):
-        p = resolve_plan(
-            plan, "stream", -1, subject=sfa,
-            defaults=Plan(engine="sfa"), kernel=kernel,
-        )
+    The running state is an SFA state index.  A one-chunk plan walks each
+    block from it; with ``p > 1`` chunks every block is scanned by the
+    lockstep engine from the identity, and the block's ⊙-product is folded
+    into the running state with :meth:`SFA.compose_indices` — legal
+    because the reachable mappings are closed under composition.
+    """
+
+    def __init__(self, sfa: SFA, plan: PlanArg = AUTO):
+        p = resolve_plan(plan, "stream", -1, subject=sfa)
         self.sfa = sfa
+        self.num_chunks = p.num_chunks
         self.kernel = p.kernel
         self.plan = p
         self.state = sfa.initial
@@ -74,7 +77,12 @@ class StreamMatcher:
         if self.sfa.partition is None:
             raise MatchEngineError("streaming over bytes needs a partition")
         classes = self.sfa.partition.translate(block)
-        self.state = scan_block(self.sfa, self.state, classes, self.kernel)
+        if self.num_chunks > 1 and len(classes):
+            self.state = _fold_block_parallel(
+                self.sfa, self.state, classes, self.num_chunks, self.kernel
+            )
+        else:
+            self.state = scan_block(self.sfa, self.state, classes, self.kernel)
         self._consumed += len(classes)
         return self
 
@@ -87,62 +95,6 @@ class StreamMatcher:
         return self.sfa.final_states_of_mapping(self.state)
 
     def reset(self) -> "StreamMatcher":
-        self.state = self.sfa.initial
-        self._consumed = 0
-        return self
-
-
-class ParallelStreamMatcher:
-    """Online cursor whose per-block scans run chunk-parallel.
-
-    The running state is an SFA state index; every block is scanned by the
-    lockstep engine from the identity, and the block's ⊙-product is folded
-    into the running state with :meth:`SFA.compose_indices` — legal because
-    the reachable mappings are closed under composition.
-    """
-
-    def __init__(
-        self,
-        sfa: SFA,
-        num_chunks: Optional[int] = None,
-        kernel: Optional[str] = None,
-        plan: PlanArg = None,
-    ):
-        p = resolve_plan(
-            plan, "stream", -1, subject=sfa,
-            defaults=Plan(engine="lockstep", num_chunks=8),
-            num_chunks=num_chunks, kernel=kernel,
-        )
-        self.sfa = sfa
-        self.num_chunks = p.num_chunks
-        self.kernel = p.kernel
-        self.plan = p
-        self.state = sfa.initial
-        self._consumed = 0
-
-    @property
-    def bytes_consumed(self) -> int:
-        return self._consumed
-
-    def feed(self, block: Block) -> "ParallelStreamMatcher":
-        if self.sfa.partition is None:
-            raise MatchEngineError("streaming over bytes needs a partition")
-        classes = self.sfa.partition.translate(block)
-        if len(classes) == 0:
-            return self
-        self.state = _fold_block_parallel(
-            self.sfa, self.state, classes, self.num_chunks, self.kernel
-        )
-        self._consumed += len(classes)
-        return self
-
-    def accepted(self) -> bool:
-        return bool(self.sfa.accept[self.state])
-
-    def final_states(self) -> List[int]:
-        return self.sfa.final_states_of_mapping(self.state)
-
-    def reset(self) -> "ParallelStreamMatcher":
         self.state = self.sfa.initial
         self._consumed = 0
         return self
@@ -185,7 +137,10 @@ class StreamingSpanMatcher:
     semantics, not a leak.
     """
 
-    def __init__(self, pattern, plan: PlanArg = None):
+    def __init__(
+        self, pattern, plan: PlanArg = AUTO,
+        executor: Optional[ChunkExecutor] = None,
+    ):
         from repro.matching.engine import CompiledPattern
 
         if not isinstance(pattern, CompiledPattern):
@@ -198,7 +153,7 @@ class StreamingSpanMatcher:
         # lockstep stride kernels of the "stream" task don't apply to the
         # reversed-DFA start pass.
         self.plan = resolve_plan(plan, "spans", -1, subject=pattern)
-        self._ex = self.plan.resolve_executor()
+        self._ex = self.plan.resolve_executor(executor)
         self._buf = bytearray()
         self._base = 0  # global stream offset of _buf[0]
         self._done = False
@@ -265,10 +220,13 @@ class StreamingMultiSpanMatcher:
     (one union-automaton state, rule-count-independent).
     """
 
-    def __init__(self, ruleset: "MultiPatternSet", plan: PlanArg = None):
+    def __init__(
+        self, ruleset: "MultiPatternSet", plan: PlanArg = AUTO,
+        executor: Optional[ChunkExecutor] = None,
+    ):
         self.ruleset = ruleset
         self._cursors = [
-            StreamingSpanMatcher(ruleset.rule_pattern(r), plan=plan)
+            StreamingSpanMatcher(ruleset.rule_pattern(r), plan, executor)
             for r in range(ruleset.num_rules)
         ]
 
@@ -313,26 +271,16 @@ class StreamingMultiMatcher:
     contains exactly the bytes consumed so far, and :meth:`matched_rules`
     accumulates every boundary verdict.
 
-    ``num_chunks > 1`` scans each block chunk-parallel with the lockstep
-    engine over the union D-SFA and folds the block's ⊙-product into the
-    running state; the default serial cursor walks the (much smaller)
-    union *DFA* directly, so streaming a large ruleset never builds the
-    D-SFA at all.  ``kernel`` picks the block-scan kernel, as in
-    :class:`StreamMatcher`.
+    A plan with ``num_chunks > 1`` scans each block chunk-parallel with
+    the lockstep engine over the union D-SFA and folds the block's
+    ⊙-product into the running state; a one-chunk cursor walks the (much
+    smaller) union *DFA* directly, so streaming a large ruleset never
+    builds the D-SFA at all.  The plan's kernel picks the block-scan
+    kernel, as in :class:`StreamMatcher`.
     """
 
-    def __init__(
-        self,
-        ruleset: "MultiPatternSet",
-        num_chunks: Optional[int] = None,
-        kernel: Optional[str] = None,
-        plan: PlanArg = None,
-    ):
-        p = resolve_plan(
-            plan, "stream", -1, subject=ruleset,
-            defaults=Plan(engine="lockstep", num_chunks=1),
-            num_chunks=num_chunks, kernel=kernel,
-        )
+    def __init__(self, ruleset: "MultiPatternSet", plan: PlanArg = AUTO):
+        p = resolve_plan(plan, "stream", -1, subject=ruleset)
         self.ruleset = ruleset
         self.num_chunks = p.num_chunks
         self.kernel = p.kernel

@@ -6,8 +6,8 @@ ways, documented in DESIGN.md §3:
 * true multicore chunk-parallel execution on a
   :class:`~repro.parallel.executor.ProcessExecutor` worker pool with the
   transition tables in :mod:`multiprocessing.shared_memory`,
-* chunk-parallel execution inside one process (lockstep vectorization,
-  plus a thread-pool executor for free-threaded builds), and
+* chunk-parallel execution inside one process (lockstep vectorization),
+  and
 * a :class:`~repro.parallel.simulator.SimulatedMachine` whose per-access
   costs come from a set-associative LRU cache model sized like the paper's
   CPU — used to regenerate the thread-count axes of Figs. 6–10.
@@ -18,16 +18,13 @@ from repro.parallel.executor import (
     ChunkExecutor,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     get_shared_executor,
     make_executor,
-    resolve_executor,
 )
 from repro.parallel.scan import (
     KERNELS,
     run_scan,
     sfa_scan,
-    sfa_scan_vector,
     transform_scan,
     transform_scan_vector,
 )
@@ -49,16 +46,13 @@ __all__ = [
     "ProcessExecutor",
     "SerialExecutor",
     "SimulatedMachine",
-    "ThreadExecutor",
     "clamp_chunks",
     "get_shared_executor",
     "make_executor",
-    "resolve_executor",
     "run_scan",
     "sequential_reduction_dsfa",
     "sequential_reduction_nsfa",
     "sfa_scan",
-    "sfa_scan_vector",
     "split_balanced",
     "split_classes",
     "transform_scan",

@@ -1,13 +1,10 @@
-"""Chunk executors: run per-chunk scans serially, on threads, or on processes.
+"""Chunk executors: run per-chunk scans serially or on processes.
 
 The paper's testbed runs Algorithm 5's chunk scans on pthreads.  Under
-CPython the GIL serializes the scalar loops, so three backends coexist
-(DESIGN.md §3):
+CPython the GIL serializes the scalar loops, so the parallel backend is a
+process pool (DESIGN.md §3):
 
 * :class:`SerialExecutor` — the reference executor, one chunk after another.
-* :class:`ThreadExecutor` — a shared thread pool; GIL-bound for the scalar
-  kernels, but real parallelism on free-threaded builds and a faithful
-  reproduction of the paper's pthread *structure*.
 * :class:`ProcessExecutor` — true multicore execution via
   :mod:`multiprocessing`.  Transition tables are published **once** through
   :mod:`multiprocessing.shared_memory`; workers attach by name and rebuild a
@@ -32,7 +29,6 @@ import pickle
 import secrets
 import threading
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
@@ -62,13 +58,11 @@ class ChunkExecutor:
         initial,
         classes: np.ndarray,
         spans: Sequence[Tuple[int, int]],
-        kernel: str = "python",
         accept: Optional[np.ndarray] = None,
     ) -> List[Any]:
-        """Run the named table-scan kernel over contiguous spans of ``classes``.
+        """Run the named scan kind (see :mod:`repro.parallel.scan`) over
+        contiguous spans of ``classes``.
 
-        ``kernel`` picks the scan shape (``"python"`` reference loop or the
-        ``"vector"`` block-composed path; see :mod:`repro.parallel.scan`).
         ``initial`` is one state for every span, or a sequence with one
         entry per span (the span engine's stitched boundary states —
         DESIGN.md §3.7); ``accept`` rides along for ``"mask"`` scans.
@@ -79,8 +73,7 @@ class ChunkExecutor:
         inits = _span_initials(initial, spans)
         return self.map(
             lambda task: run_scan(
-                kind, table, task[1], classes[task[0][0] : task[0][1]], kernel,
-                accept,
+                kind, table, task[1], classes[task[0][0] : task[0][1]], accept
             ),
             list(zip(spans, inits)),
         )
@@ -113,34 +106,6 @@ class SerialExecutor(ChunkExecutor):
 
     def map(self, fn: Callable[[np.ndarray], T], chunks: Sequence[np.ndarray]) -> List[T]:
         return [fn(ch) for ch in chunks]
-
-
-class ThreadExecutor(ChunkExecutor):
-    """Run chunk scans on a shared thread pool.
-
-    The pool is created once per executor and reused; creating threads per
-    call is exactly the overhead Fig. 10 measures, so a ``fresh_threads``
-    mode is provided for the overhead study.
-    """
-
-    name = "threads"
-
-    def __init__(self, num_threads: int, fresh_threads: bool = False):
-        if num_threads < 1:
-            raise MatchEngineError("need at least one thread")
-        self.num_threads = num_threads
-        self.fresh_threads = fresh_threads
-        self._pool = None if fresh_threads else ThreadPoolExecutor(max_workers=num_threads)
-
-    def map(self, fn: Callable[[np.ndarray], T], chunks: Sequence[np.ndarray]) -> List[T]:
-        if self.fresh_threads:
-            with ThreadPoolExecutor(max_workers=self.num_threads) as pool:
-                return list(pool.map(fn, chunks))
-        return list(self._pool.map(fn, chunks))
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
 
 
 # ---------------------------------------------------------------------------
@@ -337,12 +302,12 @@ def _attach_table(ref: ShmRef) -> np.ndarray:
 
 def _scan_shared_task(task) -> Any:
     """Worker entry point: one chunk scan against shared-memory views."""
-    kind, table_ref, initial, classes_ref, a, b, kernel, accept_ref = task
+    kind, table_ref, initial, classes_ref, a, b, accept_ref = task
     table = _attach_table(table_ref)
     accept = _attach_table(accept_ref) if accept_ref is not None else None
     seg, classes = _attach_view(classes_ref)
     try:
-        out = run_scan(kind, table, initial, classes[a:b], kernel, accept)
+        out = run_scan(kind, table, initial, classes[a:b], accept)
         if isinstance(out, np.ndarray):
             out = np.array(out, copy=True)  # detach from the segment buffer
     finally:
@@ -574,7 +539,7 @@ class ProcessExecutor(ChunkExecutor):
         """Result of scanning an empty span: nothing moves."""
         if kind == "sfa":
             return int(initial)
-        if kind == "transform":
+        if kind in ("transform", "transform_block"):
             return np.arange(table.shape[0], dtype=np.int32)
         if kind == "mask":
             return np.zeros(0, dtype=np.bool_)
@@ -587,12 +552,10 @@ class ProcessExecutor(ChunkExecutor):
         initial,
         classes: np.ndarray,
         spans: Sequence[Tuple[int, int]],
-        kernel: str = "python",
         accept: Optional[np.ndarray] = None,
     ) -> List[Any]:
         if not self.available:
-            return super().scan(kind, table, initial, classes, spans, kernel,
-                                accept)
+            return super().scan(kind, table, initial, classes, spans, accept)
         inits = _span_initials(initial, spans)
         # Empty spans (p > n splits) are resolved to identity results here
         # rather than shipped — an empty chunk scan is pure IPC overhead.
@@ -610,7 +573,7 @@ class ProcessExecutor(ChunkExecutor):
             _, accept_ref = self._publish(accept, transient=False)
         cls_seg, cls_ref = self._publish(classes, transient=True)
         tasks = [
-            (kind, table_ref, inits[i], cls_ref, a, b, kernel, accept_ref)
+            (kind, table_ref, inits[i], cls_ref, a, b, accept_ref)
             for i, a, b in live
         ]
         try:
@@ -623,8 +586,7 @@ class ProcessExecutor(ChunkExecutor):
                 out = self._get_pool().map(_scan_shared_task, tasks)
         except OSError as e:  # pragma: no cover - pool died (e.g. fork limit)
             self.fallback_reason = f"{type(e).__name__}: {e}"
-            return super().scan(kind, table, initial, classes, spans, kernel,
-                                accept)
+            return super().scan(kind, table, initial, classes, spans, accept)
         finally:
             cls_seg.close()
             try:
@@ -681,7 +643,7 @@ class ProcessExecutor(ChunkExecutor):
 # Factory + shared registry
 # ---------------------------------------------------------------------------
 
-EXECUTOR_NAMES = ("serial", "threads", "processes")
+EXECUTOR_NAMES = ("serial", "processes")
 
 
 def make_executor(
@@ -697,8 +659,6 @@ def make_executor(
     """
     if name == "serial":
         return SerialExecutor()
-    if name == "threads":
-        return ThreadExecutor(num_workers or (os.cpu_count() or 1))
     if name == "processes":
         return ProcessExecutor(num_workers, directory=directory)
     raise MatchEngineError(
@@ -724,19 +684,6 @@ def get_shared_executor(name: str, num_workers: Optional[int] = None) -> ChunkEx
             ex = make_executor(name, num_workers)
             _SHARED[key] = ex
         return ex
-
-
-def resolve_executor(
-    executor, num_workers: Optional[int] = None
-) -> Optional[ChunkExecutor]:
-    """Normalize an ``executor=`` argument: None, backend name, or instance."""
-    if executor is None:
-        return None
-    if isinstance(executor, str):
-        return get_shared_executor(executor, num_workers)
-    if isinstance(executor, ChunkExecutor):
-        return executor
-    raise MatchEngineError(f"not an executor: {executor!r}")
 
 
 @atexit.register

@@ -7,30 +7,27 @@ but it can ship ``(kernel name, shared-memory reference, span)`` triples and
 let the worker import the kernel by name and run it against a zero-copy
 view of the table (DESIGN.md §3.4).
 
-Two scan *kinds* cover every chunked engine:
+Four scan *kinds* cover every chunked engine:
 
 * ``"sfa"`` — Algorithm 5 chunk scan: walk *one* state through the chunk,
   one table lookup per character; returns the reached state index.
-* ``"transform"`` — Algorithm 3 chunk scan: simulate *all* states at once;
-  returns the transformation vector.
+* ``"transform"`` — Algorithm 3 chunk scan: simulate *all* states at once
+  with one gather per symbol; returns the transformation vector.
+* ``"transform_block"`` — the same result, block-composed: per-block
+  mappings are built with chained ``np.take_along_axis`` over the
+  per-symbol transformation columns and tree-reduced with the associative
+  ``right[left]`` composition (``O(block + log(n/block))`` NumPy ops).
+  Algorithm 3's stride kernels scan their packed stream this way.
 * ``"mask"`` — the span engine's per-position pass (DESIGN.md §3.7): walk
   one state and record the accept bit *after every symbol*; returns a
   boolean array.  Needs the automaton's ``accept`` vector alongside the
   table, so the scan protocol carries an optional ``accept`` operand.
 
-Each kind can run under two scan *shapes* (DESIGN.md §3.5):
-
-* ``"python"`` — the reference per-symbol loop.
-* ``"vector"`` — block-composed: per-block mappings are built with chained
-  ``np.take_along_axis`` over the per-symbol transformation columns and
-  tree-reduced with the associative ``right[left]`` composition, replacing
-  the per-character Python loop with ``O(block + log(n/block))`` NumPy ops.
-
 The multi-stride kernels (``"stride2"``/``"stride4"``) are not separate
-scan shapes: the engine swaps in a precomposed superalphabet table
+scan kinds: the engine swaps in a precomposed superalphabet table
 (:mod:`repro.automata.stride`) and packs the symbol stream
 (:func:`repro.regex.charclass.pack_stride`), then dispatches one of the
-shapes above over ``n/stride`` symbols — so workers need no stride logic.
+kinds above over ``n/stride`` symbols — so workers need no stride logic.
 """
 
 from __future__ import annotations
@@ -43,10 +40,18 @@ import numpy as np
 
 from repro.errors import MatchEngineError
 
-#: Kernel knob values accepted by the engines (and threaded down here).
-KERNELS = ("python", "stride2", "stride4", "vector")
+#: Chunk-scan kernels a :class:`~repro.planning.plan.Plan` can name.
+KERNELS = ("python", "stride2", "stride4")
 
-SCAN_KINDS = ("sfa", "transform", "mask")
+SCAN_KINDS = ("sfa", "transform", "transform_block", "mask")
+
+
+def check_kernel(kernel: str) -> None:
+    """Reject a kernel name outside :data:`KERNELS`."""
+    if kernel not in KERNELS:
+        raise MatchEngineError(
+            f"unknown kernel {kernel!r} (choose from {', '.join(KERNELS)})"
+        )
 
 # ---------------------------------------------------------------------------
 # Per-table derived-view caches
@@ -81,7 +86,7 @@ def _cached_view(cache: Dict[int, Tuple[Any, Any, int]], table: np.ndarray, buil
     except (ValueError, TypeError):  # pragma: no cover - exotic array subclass
         return value  # cannot pin identity safely; rebuild per call
     size = int(table.size)
-    with _CACHE_LOCK:  # ThreadExecutor workers share these caches
+    with _CACHE_LOCK:  # service handler threads share these caches
         while cache and (
             len(cache) >= _DERIVED_LIMIT
             or sum(e[2] for e in cache.values()) + size > _DERIVED_ENTRY_BUDGET
@@ -242,11 +247,12 @@ def transform_scan(table: np.ndarray, classes: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized (block-composed) kernels
+# Block-composed transform kernel
 # ---------------------------------------------------------------------------
 
-#: Symbols composed per block by the vector shape.  Larger blocks mean fewer
-#: per-block mapping rows held live; smaller blocks shorten the scalar tail.
+#: Symbols composed per block by the block-composed transform scan.  Larger
+#: blocks mean fewer per-block mapping rows held live; smaller blocks
+#: shorten the scalar tail.
 VECTOR_BLOCK = 256
 
 
@@ -289,21 +295,6 @@ def transform_scan_vector(
     return t.astype(np.int32, copy=False)
 
 
-def sfa_scan_vector(
-    table: np.ndarray, initial: int, classes: np.ndarray, block: int = VECTOR_BLOCK
-) -> int:
-    """Vector-shape Algorithm 5 chunk scan: full block transform, then pick.
-
-    Computes the chunk's transformation vector and applies it to
-    ``initial`` — ``O(|Q|)`` work per symbol, all inside NumPy.  Pays off
-    for small state counts; for large ``|Q|`` the stride kernels are the
-    single-state accelerator of choice.
-    """
-    if len(classes) == 0:
-        return int(initial)
-    return int(transform_scan_vector(table, classes, block)[initial])
-
-
 # ---------------------------------------------------------------------------
 # Dispatch
 # ---------------------------------------------------------------------------
@@ -336,9 +327,6 @@ def scan_block(
             packed, tail = st.pack(classes)
             state = sfa_scan(st.table, state, packed)
             return sfa_scan(automaton.table, state, tail)
-        kernel = "python"
-    if kernel == "vector":
-        return sfa_scan_vector(automaton.table, state, classes)
     return sfa_scan(automaton.table, state, classes)
 
 
@@ -347,31 +335,20 @@ def run_scan(
     table: np.ndarray,
     initial: int,
     classes: np.ndarray,
-    kernel: str = "python",
     accept: "np.ndarray | None" = None,
 ) -> Union[int, np.ndarray]:
-    """Dispatch a named kernel (``initial`` is ignored by ``"transform"``).
-
-    ``kernel`` selects the scan shape.  The stride kernels reach this point
-    as ``"python"``/``"vector"`` over a precomposed table (the table swap
-    and symbol packing happen in the engine), so ``"stride2"``/``"stride4"``
-    here simply run the reference loop on whatever table they are given.
-    The ``"mask"`` kind additionally needs the automaton's ``accept``
-    vector and always runs the scalar loop (every position's bit is
-    demanded, so no kernel can skip positions).
+    """Dispatch a named scan kind (``initial`` is ignored by the transform
+    kinds).  The stride kernels reach this point as plain scans over a
+    precomposed table (the table swap and symbol packing happen in the
+    engine).  The ``"mask"`` kind additionally needs the automaton's
+    ``accept`` vector.
     """
-    if kernel not in KERNELS:
-        raise MatchEngineError(
-            f"unknown kernel {kernel!r} (choose from {', '.join(KERNELS)})"
-        )
     if kind == "sfa":
-        if kernel == "vector":
-            return sfa_scan_vector(table, initial, classes)
         return sfa_scan(table, initial, classes)
     if kind == "transform":
-        if kernel == "vector":
-            return transform_scan_vector(table, classes)
         return transform_scan(table, classes)
+    if kind == "transform_block":
+        return transform_scan_vector(table, classes)
     if kind == "mask":
         if accept is None:
             raise MatchEngineError("mask scans need the accept vector")

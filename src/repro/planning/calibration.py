@@ -80,11 +80,9 @@ class Calibration:
         return asdict(self)
 
 
-#: Reference-container rates (BENCH_results.json history, PR 4–6): the
-#: stride-4 SFA scan sustains ~150 MB/s against ~54 MB/s for the python
-#: per-byte loop; the vector kernel is a 15× *slowdown* on acceptance
-#: scans (0.067×) but ~35× on speculative transform scans; the lockstep
-#: all-states fold crawls at ~2.6 MB/s.
+#: Reference-container rates (BENCH_results.json history): the stride-4
+#: SFA scan sustains ~150 MB/s against ~54 MB/s for the python per-byte
+#: loop.
 DEFAULT_CALIBRATION = Calibration(
     version=CALIBRATION_VERSION,
     cpu_count=os.cpu_count() or 1,
@@ -95,13 +93,9 @@ DEFAULT_CALIBRATION = Calibration(
         "sfa_python": 54.0,
         "sfa_stride2": 95.0,
         "sfa_stride4": 149.0,
-        "sfa_vector": 3.6,
-        "lockstep": 2.6,
-        "transform_python": 2.0,
-        "transform_vector": 70.0,
         "spans_python": 25.0,
     },
-    dispatch_ms={"threads": 0.2, "processes": 2.2},
+    dispatch_ms={"processes": 2.2},
 )
 
 
@@ -254,53 +248,34 @@ def run_calibration(
 
     Uses the Fig. 8 ``r_n`` pattern family (``(a|b)*a(a|b)^4``) so every
     kernel — including stride-4's 2-class superalphabet table — is
-    exercised on an automaton of realistic shape.  The vector and
-    lockstep rates are measured on a smaller slice (they are 15–20×
-    slower on acceptance scans; that *is* the number we are measuring,
-    no need to pay for it at full length).
+    exercised on an automaton of realistic shape.  Only rates the cost
+    model reads are measured.
     """
     import numpy as np
 
     from repro.bench.harness import measure_throughput, time_callable
     from repro.matching.engine import compile_pattern
-    from repro.matching.lockstep import lockstep_run
     from repro.matching.parallel_sfa import parallel_sfa_run
-    from repro.matching.speculative import speculative_run
+    from repro.planning.plan import Plan
 
     pattern = compile_pattern("(a|b)*a(a|b){4}")
     rng = np.random.default_rng(20130913)
     data = rng.choice([ord("a"), ord("b")], size=sample_bytes).astype(np.uint8)
     data = data.tobytes()
     classes = pattern.partition.translate(data)
-    small = classes[: max(1, sample_bytes // 16)]
-    sfa, dfa = pattern.sfa, pattern.min_dfa
+    sfa = pattern.sfa
 
     rates: Dict[str, float] = {}
     rates["dfa_python"] = measure_throughput(
-        lambda: pattern.fullmatch(data, engine="dfa"), sample_bytes, repeat
+        lambda: pattern.fullmatch(data, plan=Plan()), sample_bytes, repeat
     )
     for kernel in ("python", "stride2", "stride4"):
         rates[f"sfa_{kernel}"] = measure_throughput(
             lambda k=kernel: parallel_sfa_run(sfa, classes, 1, kernel=k),
             sample_bytes, repeat,
         )
-    rates["sfa_vector"] = measure_throughput(
-        lambda: parallel_sfa_run(sfa, small, 1, kernel="vector"),
-        len(small), repeat,
-    )
-    rates["lockstep"] = measure_throughput(
-        lambda: lockstep_run(sfa, small, 8), len(small), repeat
-    )
-    rates["transform_python"] = measure_throughput(
-        lambda: speculative_run(dfa, small, 2, kernel="python"),
-        len(small), repeat,
-    )
-    rates["transform_vector"] = measure_throughput(
-        lambda: speculative_run(dfa, classes, 2, kernel="vector"),
-        sample_bytes, repeat,
-    )
     rates["spans_python"] = measure_throughput(
-        lambda: pattern.count(data), sample_bytes, repeat
+        lambda: pattern.count(data, plan=Plan()), sample_bytes, repeat
     )
 
     dispatch: Dict[str, float] = {}
@@ -311,16 +286,15 @@ def run_calibration(
         serial_s = time_callable(
             lambda: parallel_sfa_run(sfa, tiny, 2), repeat + 1
         )
-        for name in ("threads", "processes"):
-            ex = get_shared_executor(name)
-            try:
-                total = time_callable(
-                    lambda e=ex: parallel_sfa_run(sfa, tiny, 2, executor=e),
-                    repeat + 1,
-                )
-                dispatch[name] = max(0.0, (total - serial_s) * 1e3)
-            except Exception:
-                dispatch[name] = DEFAULT_CALIBRATION.dispatch_ms.get(name, 1.0)
+        ex = get_shared_executor("processes")
+        try:
+            total = time_callable(
+                lambda: parallel_sfa_run(sfa, tiny, 2, executor=ex),
+                repeat + 1,
+            )
+            dispatch["processes"] = max(0.0, (total - serial_s) * 1e3)
+        except Exception:
+            dispatch["processes"] = DEFAULT_CALIBRATION.dispatch_ms["processes"]
 
     return Calibration(
         version=CALIBRATION_VERSION,

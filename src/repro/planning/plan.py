@@ -1,28 +1,18 @@
-"""The :class:`Plan` object — one value that answers every "how" knob.
+"""The :class:`Plan` object — the one way to say *how* to run a scan.
 
-Before this module, every engine call threaded ``engine= / executor= /
-num_workers= / kernel= / num_chunks= / prefilter=`` through 4+ layers of
-kwargs, and each layer re-defaulted them independently (DESIGN.md §3.10).
-A :class:`Plan` bundles the complete execution strategy for one scan; the
-single conversion function :func:`resolve_plan` folds the legacy knobs
-into a plan **once, at the API boundary**, so everything below the public
-entry points consumes plan fields instead of loose kwargs.
-
-Resolution order (most to least binding):
-
-1. explicitly-passed legacy knobs (``kernel="stride4"`` beats any plan —
-   the back-compat pin: callers who hand-picked a combination keep it);
-2. an explicit :class:`Plan` instance;
-3. ``plan="auto"`` — the :class:`~repro.planning.planner.Planner`'s cost
-   model picks the strategy from input length, pattern analysis facts,
-   core count and persisted calibration;
-4. the entry point's legacy defaults (``plan=None`` with no knobs —
-   bit-for-bit the pre-planner behaviour).
+A :class:`Plan` bundles the complete execution strategy for one scan:
+engine, chunk count, dispatch backend, kernel, prefilter policy and
+reduction.  Every public scan entry point takes ``plan=`` — a
+:class:`Plan`, or ``"auto"`` (the default) to let the
+:class:`~repro.planning.planner.Planner`'s cost model pick from input
+length, pattern analysis facts, core count and persisted calibration.
+:func:`resolve_plan` turns that argument into a concrete plan **once, at
+the API boundary**; everything below consumes plan fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Optional, Union
 
 from repro.errors import MatchEngineError
@@ -31,29 +21,28 @@ from repro.errors import MatchEngineError
 AUTO = "auto"
 
 #: Task kinds the planner distinguishes (they weight the cost model
-#: differently: acceptance scans must never pick the vector kernel,
-#: span scans add the mask pass + prefilter decision, ...).
+#: differently: span scans add the mask pass + prefilter decision, ...).
 TASKS = ("fullmatch", "contains", "spans", "multi", "stream")
+
+#: Acceptance engines: Algorithms 2, 3 and 5, and Algorithm 5 in lockstep.
+ENGINES = ("dfa", "speculative", "sfa", "lockstep")
 
 
 @dataclass(frozen=True)
 class Plan:
     """A complete execution strategy for one scan.
 
-    Field semantics match the legacy knobs they replace:
-
     ``engine``
         acceptance engine: ``"dfa"`` (Algorithm 2), ``"speculative"``
         (Algorithm 3), ``"sfa"`` (Algorithm 5), ``"lockstep"``
         (vectorized Algorithm 5).  Span/multi scans ignore it.
     ``executor``
-        chunk-dispatch backend name (``"serial"``/``"threads"``/
-        ``"processes"``) or ``None`` for in-process scanning.
+        chunk-dispatch backend name (``"serial"``/``"processes"``) or
+        ``None`` for in-process scanning.
     ``num_workers``
-        pool size for thread/process backends (``None``: CPU count).
+        pool size for the process backend (``None``: CPU count).
     ``kernel``
-        chunk-scan kernel, one of
-        :data:`~repro.parallel.scan.KERNELS`.
+        chunk-scan kernel, one of :data:`~repro.parallel.scan.KERNELS`.
     ``num_chunks``
         the paper's ``p``.
     ``prefilter``
@@ -63,12 +52,11 @@ class Plan:
     ``reduction``
         chunk-result reduction (``"sequential"``/``"tree"``).
     ``source``
-        provenance: ``"default"`` (legacy defaults), ``"legacy"``
-        (explicit knobs), ``"auto"`` (cost model), with ``"+knobs"``
-        appended when explicit knobs overrode a plan.
+        provenance: ``"auto"`` for cost-model plans, ``"explicit"`` for
+        plans built by hand or parsed from a summary.
     ``reason``
         one-line planner rationale (surfaces in ``repro plan`` and the
-        service plan dump; empty for non-auto plans).
+        service plan dump; empty for explicit plans).
     """
 
     engine: str = "dfa"
@@ -78,44 +66,65 @@ class Plan:
     num_chunks: int = 1
     prefilter: Optional[bool] = None
     reduction: str = "sequential"
-    source: str = "default"
+    source: str = "explicit"
     reason: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
         from repro.parallel.executor import EXECUTOR_NAMES
-        from repro.parallel.scan import KERNELS
+        from repro.parallel.scan import check_kernel
 
-        if self.kernel not in KERNELS:
-            raise MatchEngineError(
-                f"unknown kernel {self.kernel!r} "
-                f"(choose from {', '.join(KERNELS)})"
-            )
-        if self.num_chunks < 1:
+        check_kernel(self.kernel)
+        if not isinstance(self.num_chunks, int) or self.num_chunks < 1:
             raise MatchEngineError("num_chunks must be >= 1")
         if self.executor is not None and self.executor not in EXECUTOR_NAMES:
             raise MatchEngineError(
                 f"unknown executor {self.executor!r} "
                 f"(choose from {', '.join(EXECUTOR_NAMES)})"
             )
-        if self.engine not in ("dfa", "speculative", "sfa", "lockstep"):
+        if self.engine not in ENGINES:
             raise MatchEngineError(f"unknown engine {self.engine!r}")
         if self.reduction not in ("sequential", "tree"):
             raise MatchEngineError(f"unknown reduction {self.reduction!r}")
 
     # -- derived views ---------------------------------------------------
-    def resolve_executor(self):
-        """The live :class:`~repro.parallel.executor.ChunkExecutor` (or
-        ``None`` for in-process scanning).  ``executor=None`` and
-        ``executor="serial"`` keep their legacy distinction: some engines
-        use the in-process lockstep path only when *no* executor is set."""
-        from repro.parallel.executor import resolve_executor
+    def resolve_executor(self, pool=None):
+        """The live :class:`~repro.parallel.executor.ChunkExecutor` that
+        runs this plan's chunk dispatch, or ``None`` for in-process
+        scanning (``executor=None``; some engines then take the in-process
+        lockstep path).  ``pool`` is a caller-owned executor that stands
+        in for the plan's named backend."""
+        from repro.parallel.executor import ChunkExecutor, get_shared_executor
 
-        return resolve_executor(self.executor, self.num_workers)
+        if self.executor is None:
+            return None
+        if pool is None:
+            return get_shared_executor(self.executor, self.num_workers)
+        if not isinstance(pool, ChunkExecutor):
+            raise MatchEngineError(f"not an executor: {pool!r}")
+        return pool
 
     def summary(self) -> str:
-        """Compact one-line form, e.g. ``sfa/p1/inline/stride4``."""
+        """Compact one-line form, e.g. ``sfa/p1/inline/stride4`` — the
+        inverse of :meth:`parse`."""
         ex = self.executor or "inline"
         return f"{self.engine}/p{self.num_chunks}/{ex}/{self.kernel}"
+
+    @classmethod
+    def parse(cls, summary: str) -> "Plan":
+        """Read back a :meth:`summary` string (``engine/pN/executor/kernel``,
+        executor ``inline`` meaning in-process) — the CLI's ``--plan``."""
+        parts = summary.split("/") if isinstance(summary, str) else []
+        if len(parts) != 4 or not parts[1].startswith("p") \
+                or not parts[1][1:].isdigit():
+            raise MatchEngineError(
+                f"plan {summary!r} is not 'auto' or ENGINE/pN/EXECUTOR/KERNEL "
+                "(e.g. sfa/p2/processes/stride4)"
+            )
+        engine, p, ex, kernel = parts
+        return cls(
+            engine=engine, num_chunks=int(p[1:]),
+            executor=None if ex == "inline" else ex, kernel=kernel,
+        )
 
     def to_dict(self) -> Dict[str, Any]:
         """Stable JSON shape (the ``repro plan`` dump / service replies)."""
@@ -146,89 +155,28 @@ class Plan:
         return cls(**{k: v for k, v in payload.items() if k in known})
 
 
-PlanArg = Union[None, str, Plan, Dict[str, Any]]
-
-#: Legacy-knob names :func:`resolve_plan` folds into plan fields.
-_KNOBS = (
-    "engine", "num_chunks", "executor", "num_workers", "kernel",
-    "prefilter", "reduction",
-)
+PlanArg = Union[str, Plan, Dict[str, Any]]
 
 
-def resolve_plan(
-    plan: PlanArg,
-    task: str,
-    n: int,
-    *,
-    subject=None,
-    defaults: Optional[Plan] = None,
-    engine: Optional[str] = None,
-    num_chunks: Optional[int] = None,
-    executor=None,
-    num_workers: Optional[int] = None,
-    kernel: Optional[str] = None,
-    prefilter: Optional[bool] = None,
-    reduction: Optional[str] = None,
-) -> Plan:
-    """Fold a ``plan=`` argument plus legacy knobs into one :class:`Plan`.
+def resolve_plan(plan: PlanArg, task: str, n: int, *, subject=None) -> Plan:
+    """Turn a ``plan=`` argument into a concrete :class:`Plan`.
 
-    This is *the* conversion function: every public entry point calls it
-    exactly once and passes plan fields downward, replacing the per-layer
-    kwarg threading.  ``task`` ∈ :data:`TASKS`, ``n`` is the input length
-    in bytes, ``subject`` is the compiled object being scanned (a
+    ``plan`` is a :class:`Plan` (returned as is), its :meth:`Plan.to_dict`
+    form, or ``"auto"``.  ``task`` ∈ :data:`TASKS`, ``n`` is the input
+    length in bytes (``< 0``: unknown, streaming) and ``subject`` the
+    compiled object being scanned (a
     :class:`~repro.matching.engine.CompiledPattern`,
-    :class:`~repro.matching.multi.MultiPatternSet`, or a raw automaton)
-    — the planner mines it for analysis facts and already-built tables.
-
-    Legacy knobs passed as non-``None`` always win over the plan (the
-    back-compat pin); an executor *instance* stays an instance and is
-    carried outside the plan by the caller.
+    :class:`~repro.matching.multi.MultiPatternSet`, or a raw automaton) —
+    the planner mines it for analysis facts and already-built tables.
     """
     if task not in TASKS:
         raise MatchEngineError(f"unknown plan task {task!r}")
-    knobs: Dict[str, Any] = {}
-    if engine is not None:
-        knobs["engine"] = engine
-    if num_chunks is not None:
-        knobs["num_chunks"] = int(num_chunks)
-    if executor is not None:
-        if isinstance(executor, str):
-            knobs["executor"] = executor
-        else:
-            from repro.parallel.executor import ChunkExecutor
-
-            if not isinstance(executor, ChunkExecutor):
-                raise MatchEngineError(f"not an executor: {executor!r}")
-            # An executor instance cannot live in a (picklable, comparable)
-            # plan; record its backend name — the caller keeps the object
-            # and passes it alongside the resolved plan.
-            knobs["executor"] = getattr(executor, "name", "serial")
-    if num_workers is not None:
-        knobs["num_workers"] = int(num_workers)
-    if kernel is not None:
-        knobs["kernel"] = kernel
-    if prefilter is not None:
-        knobs["prefilter"] = bool(prefilter)
-    if reduction is not None:
-        knobs["reduction"] = reduction
-
-    if plan is None:
-        base = defaults if defaults is not None else Plan()
-        if knobs:
-            base = replace(base, **knobs, source="legacy")
-        return base
     if isinstance(plan, Plan):
-        base = plan
-    elif isinstance(plan, dict):
-        base = Plan.from_dict(plan)
-    elif plan == AUTO:
+        return plan
+    if isinstance(plan, dict):
+        return Plan.from_dict(plan)
+    if plan == AUTO:
         from repro.planning.planner import get_planner
 
-        base = get_planner().plan(task, n, subject=subject, defaults=defaults)
-    else:
-        raise MatchEngineError(
-            f"plan must be None, 'auto' or a Plan, got {plan!r}"
-        )
-    if knobs:
-        base = replace(base, **knobs, source=base.source + "+knobs")
-    return base
+        return get_planner().plan(task, n, subject=subject)
+    raise MatchEngineError(f"plan must be 'auto' or a Plan, got {plan!r}")

@@ -10,20 +10,15 @@ candidate :class:`~repro.planning.plan.Plan`\\ s and scores each with
               + dispatch(executor) + build(kernel, subject)
 
 where ``rate`` comes from the persisted calibration (or its baked-in
-defaults), ``speedup`` models executor scaling (threads gain nothing for
-the GIL-bound scalar kernels; processes scale at ~85% efficiency), and
+defaults), ``speedup`` models executor scaling (processes scale at ~85%
+efficiency), and
 ``build`` charges one-time construction (D-SFA, stride tables) only when
 the subject has not already built it — a warm pattern plans differently
 from a cold one, which is exactly the Table III amortization story.
 
-Two hard guards sit on top of the arithmetic:
-
-* the **vector kernel is never a candidate** for plain acceptance scans —
-  its all-states gather is a 15× slowdown there (0.067× in
-  ``bench_kernels``) while being 35× on speculative transform scans;
-* the chosen plan's estimate must not exceed the serial-python estimate
-  ("never slower than python") — the python baseline is always in the
-  candidate set, so cost minimization enforces this by construction.
+The chosen plan's estimate never exceeds the serial-python estimate
+("never slower than python"): the python baseline is always in the
+candidate set, so cost minimization enforces this by construction.
 
 Empty/tiny inputs short-circuit to a serial plan **before** any
 calibration access, so a 10-byte ``repro grep`` neither reads nor creates
@@ -34,6 +29,7 @@ from __future__ import annotations
 
 import os
 import threading
+from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.planning.calibration import Calibration, get_calibration
@@ -105,7 +101,6 @@ class Planner:
         n: int,
         *,
         subject=None,
-        defaults: Optional[Plan] = None,
     ) -> Plan:
         """Pick a plan for scanning ``n`` bytes in the given ``task`` mode.
 
@@ -113,8 +108,7 @@ class Planner:
         planner mines it for analysis facts, automaton sizes and
         already-built artifacts but never triggers a build itself.
         ``n < 0`` means "unknown length" (streaming): a nominal 1 MiB is
-        assumed.  ``defaults`` seeds task-specific fields the cost model
-        does not decide (e.g. the span engine's prefilter policy).
+        assumed.
         """
         if task not in TASKS:
             from repro.errors import MatchEngineError
@@ -130,14 +124,8 @@ class Planner:
         cal = self.calibration()
         candidates = self._candidates(task, n, subject, cal)
         best_t, best = min(candidates, key=lambda c: c[0])
-        return Plan(
-            engine=best.engine,
-            executor=best.executor,
-            num_workers=best.num_workers,
-            kernel=best.kernel,
-            num_chunks=best.num_chunks,
-            prefilter=best.prefilter,
-            reduction=best.reduction,
+        return replace(
+            best,
             source="auto",
             reason=f"n={n}: {best.summary()} est {best_t * 1e3:.2f}ms "
             f"over {len(candidates)} candidates ({self.cpu_count} cores)",
@@ -193,7 +181,7 @@ class Planner:
             # The "never slower than python" floor: Algorithm 2 on the
             # minimal DFA, no SFA or stride table to build.
             (
-                mb / cal.rate("dfa_python") + self._dfa_build_s(subject),
+                mb / cal.rate("dfa_python"),
                 Plan(engine="dfa", kernel="python", num_chunks=1),
             )
         ]
@@ -206,9 +194,6 @@ class Planner:
                 + self._stride_build_s(subject, stride)
             )
             out.append((t, Plan(engine="sfa", kernel=kernel, num_chunks=1)))
-        # NOTE: "vector" is deliberately absent — the all-states gather is
-        # the 0.067× regime on acceptance scans (satellite guard; pinned
-        # by tests/test_plan.py on the bench_kernels workload).
         if self.cpu_count > 1 and n >= PARALLEL_MIN_BYTES:
             p = self.cpu_count
             speedup = 1 + (p - 1) * PROCESS_EFFICIENCY
@@ -333,11 +318,6 @@ class Planner:
         if auto is None:
             return None
         return int(auto.num_states), int(auto.num_classes)
-
-    def _dfa_build_s(self, subject) -> float:
-        if subject is None or _built(subject, "min_dfa") is not None:
-            return 0.0
-        return 0.0  # every engine needs at least the DFA; common cost
 
     def _sfa_build_s(self, subject) -> float:
         if subject is None:

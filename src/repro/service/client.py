@@ -19,6 +19,7 @@ import socket
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ServiceError
+from repro.planning.plan import Plan
 from repro.service.protocol import (
     DEFAULT_PORT,
     MAX_HEADER_BYTES,
@@ -30,29 +31,16 @@ from repro.service.protocol import (
 
 Rules = Sequence[Union[str, Tuple[str, bool], List]]
 
-#: ``plan=`` argument accepted by the scan ops: ``None`` (server legacy
-#: defaults), ``"auto"`` (server-side §3.10 cost model), ``"off"``, or a
-#: plan dict (``Plan.to_dict()`` shape).
-PlanField = Union[None, str, Dict[str, Any]]
+#: ``plan=`` argument accepted by the scan ops: ``None`` (omitted: the
+#: op's server-side default, ``"auto"`` for most ops), ``"auto"``, a
+#: :class:`~repro.planning.plan.Plan`, or its ``to_dict()`` form.
+PlanField = Union[None, str, Plan, Dict[str, Any]]
 
 
-def _knob_fields(
-    header: Dict[str, Any],
-    chunks: Optional[int],
-    kernel: Optional[str],
-    plan: PlanField,
-) -> Dict[str, Any]:
-    """Attach only the explicitly-chosen strategy fields.
-
-    Absent knobs are *omitted* (not defaulted) so the server can tell
-    "caller chose 1 chunk" from "caller left it to the plan".
-    """
-    if chunks is not None:
-        header["chunks"] = chunks
-    if kernel is not None:
-        header["kernel"] = kernel
+def _with_plan(header: Dict[str, Any], plan: PlanField) -> Dict[str, Any]:
+    """Attach the request's plan (omitted when ``None``)."""
     if plan is not None:
-        header["plan"] = plan
+        header["plan"] = plan.to_dict() if isinstance(plan, Plan) else plan
     return header
 
 
@@ -189,14 +177,14 @@ class ServiceClient:
         rules: Optional[Rules] = None,
         ignore_case: bool = False,
         stages: Sequence[str] = ("sfa",),
-        kernel: str = "python",
+        plan: PlanField = None,
         mode: str = "search",
         backend: Optional[str] = None,
     ) -> Dict[str, Any]:
-        header: Dict[str, Any] = {
+        header: Dict[str, Any] = _with_plan({
             "op": "compile", "ignore_case": ignore_case,
-            "stages": list(stages), "kernel": kernel,
-        }
+            "stages": list(stages),
+        }, plan)
         if rules is not None:
             header["rules"] = [
                 r if isinstance(r, str) else [r[0], bool(r[1])] for r in rules
@@ -243,17 +231,15 @@ class ServiceClient:
         *,
         mode: str = "fullmatch",
         ignore_case: bool = False,
-        chunks: Optional[int] = None,
-        kernel: Optional[str] = None,
         plan: PlanField = None,
     ) -> bool:
         return bool(self.request(
-            _knob_fields(
+            _with_plan(
                 {
                     "op": "match", "pattern": pattern, "mode": mode,
                     "ignore_case": ignore_case,
                 },
-                chunks, kernel, plan,
+                plan,
             ),
             data,
         )["match"])
@@ -265,17 +251,15 @@ class ServiceClient:
         *,
         mode: str = "contains",
         ignore_case: bool = False,
-        chunks: Optional[int] = None,
-        kernel: Optional[str] = None,
         plan: PlanField = None,
     ) -> bool:
         return bool(self.request(
-            _knob_fields(
+            _with_plan(
                 {
                     "op": "scan", "pattern": pattern, "mode": mode,
                     "ignore_case": ignore_case,
                 },
-                chunks, kernel, plan,
+                plan,
             ),
             data,
         )["match"])
@@ -286,17 +270,15 @@ class ServiceClient:
         data: bytes,
         *,
         ignore_case: bool = False,
-        chunks: Optional[int] = None,
-        kernel: Optional[str] = None,
         plan: PlanField = None,
         limit: Optional[int] = None,
     ) -> List[Tuple[int, int]]:
-        header = _knob_fields(
+        header = _with_plan(
             {
                 "op": "finditer", "pattern": pattern,
                 "ignore_case": ignore_case,
             },
-            chunks, kernel, plan,
+            plan,
         )
         if limit is not None:
             header["limit"] = limit
@@ -311,8 +293,6 @@ class ServiceClient:
         ruleset: Optional[str] = None,
         mode: str = "search",
         ignore_case: bool = False,
-        chunks: Optional[int] = None,
-        kernel: Optional[str] = None,
         plan: PlanField = None,
         backend: Optional[str] = None,
     ) -> List[int]:
@@ -335,10 +315,7 @@ class ServiceClient:
             )
         if backend is not None:
             header["backend"] = backend
-        reply = self.request(
-            _knob_fields(header, chunks, kernel, plan),
-            data,
-        )
+        reply = self.request(_with_plan(header, plan), data)
         return [int(r) for r in reply["rules"]]
 
     def open_stream(
@@ -349,19 +326,17 @@ class ServiceClient:
         kind: Optional[str] = None,
         ignore_case: bool = False,
         mode: str = "search",
-        chunks: Optional[int] = None,
-        kernel: Optional[str] = None,
         plan: PlanField = None,
         backend: Optional[str] = None,
     ) -> "ClientStream":
         """Open a stateful stream session; see :class:`ClientStream`."""
         if kind is None:
             kind = "spans" if pattern is not None else "multi"
-        header = _knob_fields(
+        header = _with_plan(
             {
                 "op": "stream_open", "kind": kind, "ignore_case": ignore_case,
             },
-            chunks, kernel, plan,
+            plan,
         )
         if pattern is not None:
             header["pattern"] = pattern

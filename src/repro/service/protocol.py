@@ -18,7 +18,7 @@ pipeline fixed requests over the same socket.  Error kinds:
 - ``"payload-too-large"``   — declared payload exceeds the server limit
   (the payload is drained, so the connection survives)
 - ``"compile"``             — the pattern/ruleset failed to compile
-- ``"engine"``              — a scan raised (bad knobs, state explosion)
+- ``"engine"``              — a scan raised (bad plan, state explosion)
 - ``"limit"``               — per-connection resource cap (open streams)
 - ``"shutdown"``            — server is draining
 

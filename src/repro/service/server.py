@@ -33,10 +33,11 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import RegexSyntaxError, ReproError, ServiceError
-from repro.planning.plan import Plan, resolve_plan
+from repro.planning.plan import AUTO, Plan, resolve_plan
 from repro.service.cache import ArtifactCache
 from repro.service.metrics import MetricsBoard, ServiceMetrics
 from repro.service.protocol import (
@@ -51,6 +52,14 @@ from repro.service.protocol import (
 
 #: Per-connection cap on simultaneously open stream sessions.
 MAX_STREAMS_PER_CONNECTION = 64
+
+#: Most chunks a wire plan may ask for.  Chunk count never changes a
+#: verdict, only per-chunk overhead; this keeps one request from asking
+#: the server to split a payload into millions of dispatches.
+MAX_WIRE_CHUNKS = 256
+
+#: Header fields that used to carry strategy knobs; a plan replaces them.
+_REMOVED_FIELDS = ("chunks", "kernel")
 
 #: How long a worker waits for a master-propagated ruleset reload to
 #: reach it before answering the ``reload`` request with an error.
@@ -170,10 +179,10 @@ class MatchService:
     cache_size:
         LRU capacity of the compiled-artifact cache, in entries.
     executor:
-        ``"threads"``/``"processes"`` to build one warm shared chunk
-        executor for the server's lifetime (``None``: chunked requests use
-        the in-process lockstep path).  The pool is created at
-        :meth:`start` and drained at :meth:`stop`.
+        ``"processes"`` to build one warm shared chunk executor for the
+        server's lifetime (``None``: every plan runs in-process).  The
+        pool is created at :meth:`start` and drained at :meth:`stop`;
+        every plan that dispatches chunks runs on it.
     num_workers:
         Pool size for the shared executor (default: CPU count).
     max_payload:
@@ -226,7 +235,7 @@ class MatchService:
     ):
         if max_payload < 1:
             raise ServiceError("max_payload must be >= 1", kind="bad-request")
-        if executor not in (None, "serial", "threads", "processes"):
+        if executor not in (None, "serial", "processes"):
             raise ServiceError(
                 f"unknown executor {executor!r}", kind="bad-request"
             )
@@ -673,37 +682,59 @@ class MatchService:
             )
         return backend
 
-    def _knobs(
-        self, header: Dict[str, Any]
-    ) -> Tuple[Optional[int], Optional[str]]:
-        """Explicitly-sent legacy knobs (``None`` when the field is absent,
-        so a request-level plan keeps deciding them)."""
-        chunks = header.get("chunks")
-        kernel = header.get("kernel")
-        if chunks is not None and (not isinstance(chunks, int) or chunks < 1):
+    def _plan_arg(self, header: Dict[str, Any], default=AUTO):
+        """The request's ``plan`` field: ``"auto"`` or a
+        :meth:`~repro.planning.plan.Plan.to_dict` object (``default``
+        when absent).
+
+        A wire plan cannot size or pick the server's pools: it may name
+        no ``num_workers``, no executor but the server's own (``"serial"``
+        when it has no pool), and at most :data:`MAX_WIRE_CHUNKS` chunks.
+        """
+        for name in _REMOVED_FIELDS:
+            if name in header:
+                raise ServiceError(
+                    f"the {name!r} field is gone; send a 'plan' object",
+                    kind="bad-request",
+                )
+        plan = header.get("plan", default)
+        if plan == AUTO or isinstance(plan, Plan):
+            return plan
+        if not isinstance(plan, dict):
             raise ServiceError(
-                f"'chunks' must be a positive int, got {chunks!r}",
+                f"'plan' must be 'auto' or a plan object, got {plan!r}",
                 kind="bad-request",
             )
-        if kernel is not None and not isinstance(kernel, str):
+        if plan.get("num_workers") is not None:
             raise ServiceError(
-                f"'kernel' must be a string, got {kernel!r}", kind="bad-request"
+                "a plan may not set 'num_workers': the server sizes its "
+                "own pool", kind="bad-request",
             )
-        return chunks, kernel
+        own = self.executor_name or "serial"
+        if plan.get("executor") not in (None, own):
+            raise ServiceError(
+                f"plan executor {plan.get('executor')!r} is not this "
+                f"server's ({own!r})", kind="bad-request",
+            )
+        chunks = plan.get("num_chunks", 1)
+        if not isinstance(chunks, int) or not 1 <= chunks <= MAX_WIRE_CHUNKS:
+            raise ServiceError(
+                f"plan 'num_chunks' must be an int in 1..{MAX_WIRE_CHUNKS}, "
+                f"got {chunks!r}", kind="bad-request",
+            )
+        try:
+            return Plan.from_dict(plan)
+        except (ReproError, TypeError) as e:
+            raise ServiceError(f"bad plan: {e}", kind="bad-request") from None
 
-    def _plan_arg(self, header: Dict[str, Any]):
-        """The request's ``plan`` field: ``"auto"``, a plan object (a
-        :meth:`~repro.planning.plan.Plan.to_dict` dump), or ``None`` /
-        ``"off"`` for the op's legacy defaults."""
-        plan = header.get("plan")
-        if plan in (None, "off", False):
-            return None
-        if plan == "auto" or isinstance(plan, dict):
-            return plan
-        raise ServiceError(
-            f"'plan' must be 'auto', 'off' or a plan object, got {plan!r}",
-            kind="bad-request",
-        )
+    def _resolve(self, plan, task: str, n: int, subject) -> Plan:
+        """Resolve a validated plan argument for this server: a plan that
+        dispatches chunks runs on the server's own pool, or in-process
+        when the server has none — never on a pool of its own choosing."""
+        p = resolve_plan(plan, task, n, subject=subject)
+        if p.executor not in (None, self.executor_name or "serial"):
+            p = replace(p, executor=None, num_workers=None)
+        return p
 
     def _note_plan(self, plan: Plan) -> str:
         """Count one scan under ``plan`` and return its reply summary.
@@ -871,7 +902,7 @@ class MatchService:
         stages = header.get("stages", ["sfa"])
         if not isinstance(stages, list):
             raise ServiceError("'stages' must be a list", kind="bad-request")
-        _, kernel = self._knobs(header)
+        plan_arg = self._plan_arg(header)
         backend = None
         if "rules" in header:
             value, hit = await self._in_thread(lambda: self._ruleset_of(header))
@@ -894,15 +925,14 @@ class MatchService:
                 sizes["d_sfa"] = value.sfa.num_states
             analysis = await self._in_thread(lambda: _pattern_analysis(value))
             task = "fullmatch"
-        built = await self._in_thread(
-            lambda: self.cache.warm(value, stages, kernel or "python")
-        )
-        # What the planner would now run for a nominal 1 MiB scan of this
-        # (warmed) artifact — the §3.10 counterpart of the analysis block.
+        # What the planner would run for a nominal 1 MiB scan of this
+        # artifact — the §3.10 counterpart of the analysis block; warming
+        # then builds the stride tables that plan scans with.
         plan = await self._in_thread(
-            lambda: resolve_plan(
-                self._plan_arg(header) or "auto", task, 1 << 20, subject=value
-            )
+            lambda: self._resolve(plan_arg, task, 1 << 20, value)
+        )
+        built = await self._in_thread(
+            lambda: self.cache.warm(value, stages, plan)
         )
         reply = {
             "ok": True, "cached": hit, "built": built, "sizes": sizes,
@@ -950,26 +980,13 @@ class MatchService:
         mode = header.get("mode", "fullmatch")
         if mode not in ("fullmatch", "contains"):
             raise ServiceError(f"unknown mode {mode!r}", kind="bad-request")
-        chunks, kernel = self._knobs(header)
         plan = self._plan_arg(header)
-        task = "fullmatch" if mode == "fullmatch" else "contains"
 
         def work():
             m, hit = self._pattern_of(header)
-            if plan is None:
-                c = 1 if chunks is None else chunks
-                p = resolve_plan(
-                    None, task, len(data), subject=m,
-                    engine="lockstep" if c > 1 else "dfa",
-                    num_chunks=c, kernel=kernel or "python",
-                )
-            else:
-                p = resolve_plan(
-                    plan, task, len(data), subject=m,
-                    num_chunks=chunks, kernel=kernel,
-                )
+            p = self._resolve(plan, mode, len(data), m)
             fn = m.fullmatch if mode == "fullmatch" else m.contains
-            matched = fn(data, plan=p)
+            matched = fn(data, plan=p, executor=self._executor)
             return {
                 "ok": True, "match": bool(matched), "cached": hit,
                 "plan": self._note_plan(p),
@@ -978,30 +995,19 @@ class MatchService:
         return await self._in_thread(work)
 
     async def _op_scan(self, header, payload, streams, next_stream):
-        """Chunk-parallel containment scan through the shared executor."""
+        """Chunk-parallel containment scan: without a ``plan`` it runs
+        Algorithm 5 over two chunks on the server's pool (or in-process)."""
         data = self._need_payload(payload)
         mode = header.get("mode", "contains")
         if mode not in ("fullmatch", "contains"):
             raise ServiceError(f"unknown mode {mode!r}", kind="bad-request")
-        chunks, kernel = self._knobs(header)
-        plan = self._plan_arg(header)
-        task = "fullmatch" if mode == "fullmatch" else "contains"
+        plan = self._plan_arg(
+            header, Plan(engine="sfa", num_chunks=2, executor=self.executor_name)
+        )
 
         def work():
             m, hit = self._pattern_of(header)
-            if plan is None:
-                c = max(2, 1 if chunks is None else chunks)
-                p = resolve_plan(
-                    None, task, len(data), subject=m, engine="sfa",
-                    num_chunks=c, executor=self._executor,
-                    kernel=kernel or "python",
-                )
-            else:
-                p = resolve_plan(
-                    plan, task, len(data), subject=m,
-                    num_chunks=chunks, executor=self._executor,
-                    kernel=kernel,
-                )
+            p = self._resolve(plan, mode, len(data), m)
             fn = m.fullmatch if mode == "fullmatch" else m.contains
             matched = fn(data, plan=p, executor=self._executor)
             return {
@@ -1015,29 +1021,17 @@ class MatchService:
 
     async def _op_finditer(self, header, payload, streams, next_stream):
         data = self._need_payload(payload)
-        chunks, kernel = self._knobs(header)
         limit = header.get("limit")
         if limit is not None and (not isinstance(limit, int) or limit < 0):
             raise ServiceError(
                 f"'limit' must be a non-negative int, got {limit!r}",
                 kind="bad-request",
             )
-
         plan = self._plan_arg(header)
 
         def work():
             m, hit = self._pattern_of(header)
-            if plan is None:
-                p = resolve_plan(
-                    None, "spans", len(data), subject=m,
-                    num_chunks=1 if chunks is None else chunks,
-                    executor=self._executor, kernel=kernel or "python",
-                )
-            else:
-                p = resolve_plan(
-                    plan, "spans", len(data), subject=m,
-                    num_chunks=chunks, executor=self._executor, kernel=kernel,
-                )
+            p = self._resolve(plan, "spans", len(data), m)
             spans = m.span_engine().spans(
                 data, plan=p, executor=self._executor, limit=limit,
             )
@@ -1050,24 +1044,11 @@ class MatchService:
 
     async def _op_multiscan(self, header, payload, streams, next_stream):
         data = self._need_payload(payload)
-        chunks, kernel = self._knobs(header)
-
         plan = self._plan_arg(header)
 
         def work():
             mps, hit = self._ruleset_of(header)
-            if plan is None:
-                p = resolve_plan(
-                    None, "multi", len(data), subject=mps,
-                    defaults=Plan(engine="lockstep"),
-                    num_chunks=1 if chunks is None else chunks,
-                    executor=self._executor, kernel=kernel or "python",
-                )
-            else:
-                p = resolve_plan(
-                    plan, "multi", len(data), subject=mps,
-                    num_chunks=chunks, executor=self._executor, kernel=kernel,
-                )
+            p = self._resolve(plan, "multi", len(data), mps)
             hits = mps.matches(data, plan=p, executor=self._executor)
             out = {
                 "ok": True,
@@ -1097,25 +1078,26 @@ class MatchService:
                 kind="limit",
             )
         kind = header.get("kind", "spans")
-        chunks, kernel = self._knobs(header)
-        plan = self._plan_arg(header)
+        # Without a plan a stream scans serially in-process: an auto plan
+        # for an unknown length would size it like a 1 MiB scan.
+        plan = self._plan_arg(header, Plan())
 
         def work():
             if kind == "spans":
                 m, _ = self._pattern_of(header)
-                return _StreamSession(kind, StreamingSpanMatcher(m, plan=plan))
+                p = self._resolve(plan, "spans", -1, m)
+                return _StreamSession(
+                    kind, StreamingSpanMatcher(m, p, self._executor)
+                )
             if kind == "multi":
                 mps, _ = self._ruleset_of(header)
-                return _StreamSession(
-                    kind,
-                    StreamingMultiMatcher(
-                        mps, num_chunks=chunks, kernel=kernel, plan=plan
-                    ),
-                )
+                p = self._resolve(plan, "stream", -1, mps)
+                return _StreamSession(kind, StreamingMultiMatcher(mps, plan=p))
             if kind == "multispans":
                 mps, _ = self._ruleset_of(header)
+                p = self._resolve(plan, "spans", -1, mps)
                 return _StreamSession(
-                    kind, StreamingMultiSpanMatcher(mps, plan=plan)
+                    kind, StreamingMultiSpanMatcher(mps, p, self._executor)
                 )
             raise ServiceError(
                 f"unknown stream kind {kind!r} "

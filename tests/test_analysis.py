@@ -28,6 +28,7 @@ from repro.analysis import (
 from repro.cli import main as cli_main
 from repro.errors import RegexSyntaxError
 from repro.matching.multi import MultiPatternSet
+from repro.planning.plan import Plan
 from tests.test_find_differential import (
     ZOO,
     lml_spans,
@@ -235,6 +236,10 @@ PREFILTER_ZOO = [
 ]
 
 
+#: The serial plan with the literal prefilter off: the exact start pass.
+EXACT = Plan(prefilter=False)
+
+
 class TestPrefilterDifferential:
     @pytest.mark.parametrize("pattern,text", PREFILTER_ZOO)
     def test_prefilter_engages_and_is_bit_identical(self, pattern, text):
@@ -242,7 +247,7 @@ class TestPrefilterDifferential:
         eng = m.span_engine()
         assert eng.prefilter is not None, pattern
         on = list(m.finditer(text))
-        off = list(m.finditer(text, prefilter=False))
+        off = list(m.finditer(text, plan=EXACT))
         assert on == off, (pattern, text)
         rx = re.compile(pattern.encode("latin-1"))
         assert on == lml_spans(rx, text), (pattern, text)
@@ -250,7 +255,7 @@ class TestPrefilterDifferential:
     @pytest.mark.parametrize("pattern,text", ZOO)
     def test_zoo_unchanged_by_prefilter_knob(self, pattern, text):
         m = compile_pattern(pattern)
-        assert list(m.finditer(text)) == list(m.finditer(text, prefilter=False))
+        assert list(m.finditer(text)) == list(m.finditer(text, plan=EXACT))
 
     def test_random_sweep_prefilter_bit_identical(self):
         rng = random.Random(0x9F17)
@@ -268,7 +273,7 @@ class TestPrefilterDifferential:
                     # plant the wrapper literals so candidate windows fire
                     text = text + b"ERj" + text + b"qv" + text
                 assert (list(m.finditer(text))
-                        == list(m.finditer(text, prefilter=False))), \
+                        == list(m.finditer(text, plan=EXACT))), \
                     (pattern, text)
         assert engaged > 30
 
@@ -280,7 +285,7 @@ class TestPrefilterDifferential:
         assert plan.min_start < plan.max_start  # genuinely windowed
         text = b"x GET /api/ POST /api/ GET/api/ T /api/"
         assert (list(m.finditer(text))
-                == list(m.finditer(text, prefilter=False)))
+                == list(m.finditer(text, plan=EXACT)))
 
 
 # ---------------------------------------------------------------------------
@@ -437,9 +442,11 @@ class TestGrepPrefilterKnob:
     def test_no_prefilter_output_identical(self, tmp_path, capsys):
         log = tmp_path / "a.log"
         log.write_text("ok\nERROR 42\nfine\nERROR 7 tail\n")
-        assert cli_main(["grep", "ERROR [0-9]+", str(log)]) == 0
+        assert cli_main(["grep", "-o", "ERROR [0-9]+", str(log)]) == 0
         fast = capsys.readouterr().out
-        assert cli_main(["grep", "ERROR [0-9]+", str(log),
-                         "--no-prefilter"]) == 0
-        assert capsys.readouterr().out == fast
+        assert compile_pattern("ERROR [0-9]+").span_engine().prefilter
+        # grep's prefiltered spans are the exact start pass's spans
+        data = log.read_bytes()
+        exact = compile_pattern("ERROR [0-9]+").findall(data, plan=EXACT)
+        assert fast == "".join(f"{b.decode()}\n" for b in exact)
         assert "ERROR 42" in fast

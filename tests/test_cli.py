@@ -54,8 +54,20 @@ class TestMatch:
         f.write_bytes(b"ab" * 100)
         for engine in ("dfa", "speculative", "sfa", "lockstep"):
             code, _, _ = run(capsys, "match", "(ab)*", str(f),
-                             "--engine", engine, "--chunks", "4")
+                             "--plan", f"{engine}/p4/inline/python")
             assert code == 0, engine
+
+    @pytest.mark.parametrize("summary", [
+        "bogus", "sfa/4/inline/python", "sfa/p4/threads/python",
+        "sfa/p4/inline/vector", "warp/p4/inline/python", "sfa/p0/inline/python",
+    ])
+    def test_bad_plan_summary_exits_two(self, capsys, tmp_path, summary):
+        f = tmp_path / "in.bin"
+        f.write_bytes(b"ab")
+        with pytest.raises(SystemExit) as exc:
+            main(["match", "(ab)*", str(f), "--plan", summary])
+        assert exc.value.code == 2
+        assert "--plan" in capsys.readouterr().err
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "match", "a", "/nonexistent/file")
@@ -64,10 +76,9 @@ class TestMatch:
     def test_executor_selection(self, capsys, tmp_path):
         f = tmp_path / "in.bin"
         f.write_bytes(b"ab" * 100)
-        for executor in ("serial", "threads", "processes"):
+        for executor in ("inline", "serial", "processes"):
             code, out, _ = run(capsys, "match", "(ab)*", str(f),
-                               "--engine", "sfa", "--chunks", "4",
-                               "--executor", executor, "--workers", "2")
+                               "--plan", f"sfa/p4/{executor}/python")
             assert code == 0, executor
             assert "match" in out
 
@@ -75,19 +86,17 @@ class TestMatch:
         f = tmp_path / "in.bin"
         f.write_bytes(b"ab" * 100 + b"x")
         code, out, _ = run(capsys, "match", "(ab)*", str(f),
-                           "--engine", "speculative", "--chunks", "4",
-                           "--executor", "processes", "--workers", "2")
+                           "--plan", "speculative/p4/processes/python")
         assert code == 1
         assert "no match" in out
 
     def test_kernel_selection(self, capsys, tmp_path):
         f = tmp_path / "in.bin"
         f.write_bytes(b"ab" * 100)
-        for kernel in ("python", "stride2", "stride4", "vector"):
+        for kernel in ("python", "stride2", "stride4"):
             for engine in ("sfa", "speculative", "lockstep"):
                 code, out, _ = run(capsys, "match", "(ab)*", str(f),
-                                   "--engine", engine, "--chunks", "4",
-                                   "--kernel", kernel)
+                                   "--plan", f"{engine}/p4/inline/{kernel}")
                 assert code == 0, (kernel, engine)
                 assert "match" in out
 
@@ -171,40 +180,46 @@ class TestGrep:
         assert out == ""
 
     def test_parallel_threshold_default(self):
-        from repro.cli import GREP_EXECUTOR_MIN_BYTES, build_parser
+        # The serial cutoff grep used to carry is the planner's own: below
+        # TINY_INPUT_BYTES every scan plan is the serial reference scan.
+        from repro.planning.planner import TINY_INPUT_BYTES, Planner
 
-        args = build_parser().parse_args(["grep", "x", "-"])
-        assert args.parallel_threshold == GREP_EXECUTOR_MIN_BYTES
+        assert TINY_INPUT_BYTES == 4096
+        for n in (0, 14, TINY_INPUT_BYTES - 1):
+            plan = Planner(cpu_count=8).plan("spans", n)
+            assert (plan.num_chunks, plan.executor) == (1, None)
 
     def test_parallel_threshold_engages_chunked_scan(
         self, capsys, tmp_path, monkeypatch
     ):
+        """A pinned ``--plan`` engages the chunked scan on every file, small
+        ones included; the default leaves the cutoff to the planner."""
         from repro.matching.spans import SpanEngine
+        from repro.planning.plan import Plan
 
         small = tmp_path / "small.txt"
         small.write_bytes(b"short ERROR 1\n")
         big = tmp_path / "big.txt"
         big.write_bytes(b"x" * 64 + b" ERROR 2\n")
-        engaged = []
+        seen = []
         real = SpanEngine.spans
 
         def spy(self, data, **kw):
-            engaged.append(
-                (len(data), kw.get("executor") is not None,
-                 kw.get("num_chunks"))
-            )
+            seen.append((len(data), kw.get("plan")))
             return real(self, data, **kw)
 
         monkeypatch.setattr(SpanEngine, "spans", spy)
         code, out, _ = run(capsys, "grep", "ERROR [0-9]+",
-                           str(big), str(small),
-                           "--executor", "threads", "--chunks", "4",
-                           "--parallel-threshold", "32")
+                           str(big), str(small))
         assert code == 0
         assert "ERROR 1" in out and "ERROR 2" in out
-        # only the >= 32-byte file engaged the chunked/executor path
-        assert (14, False, 1) in engaged
-        assert any(n >= 32 and used and p == 4 for n, used, p in engaged)
+        assert {plan for _, plan in seen} == {"auto"}
+        seen.clear()
+        code, out, _ = run(capsys, "grep", "ERROR [0-9]+", str(big),
+                           str(small), "--plan", "lockstep/p4/serial/python")
+        assert code == 0
+        want = Plan(engine="lockstep", num_chunks=4, executor="serial")
+        assert sorted(seen) == [(14, want), (73, want)]
 
 
 class TestGrepMultiFile:
@@ -309,11 +324,9 @@ class TestGrepMultiFile:
         root = self._tree(tmp_path)
         code, serial_out, _ = run(capsys, "grep", "ERROR [0-9]+", str(root))
         assert code == 0
-        for executor in ("threads", "processes"):
+        for executor in ("serial", "processes"):
             code, out, _ = run(capsys, "grep", "ERROR [0-9]+", str(root),
-                               "--chunks", "4", "--executor", executor,
-                               "--workers", "2", "--kernel", "stride4",
-                               "--parallel-threshold", "0")
+                               "--plan", f"lockstep/p4/{executor}/stride4")
             assert code == 0, executor
             assert out == serial_out, executor
 
@@ -672,12 +685,11 @@ class TestMatchset:
         assert code == 0
         f = tmp_path / "in.bin"
         f.write_bytes(b"x" * 100 + b"abc" + b"y" * 100 + b"zztop")
-        for executor in ("serial", "threads", "processes"):
+        for executor in ("inline", "serial", "processes"):
             for kernel in ("python", "stride4"):
                 code, out, _ = run(capsys, "matchset", "--rules-file", npz_path,
-                                   str(f), "--chunks", "4",
-                                   "--executor", executor, "--workers", "2",
-                                   "--kernel", kernel)
+                                   str(f), "--plan",
+                                   f"lockstep/p4/{executor}/{kernel}")
                 assert code == 0, (executor, kernel)
                 assert "matched 2/3 rules" in out, (executor, kernel)
 
@@ -772,7 +784,7 @@ class TestServeClientCLI:
         f.write_bytes(b"xx ERROR 42 yy ERROR 7")
         code, out, _ = self.client(
             capsys, service_port, "scan", "ERROR [0-9]+", str(f),
-            "--chunks", "4", "--kernel", "stride2",
+            "--plan", "sfa/p4/inline/stride2",
         )
         assert code == 0 and out == "match\n"
         code, out, _ = self.client(

@@ -2,7 +2,7 @@
 
 Theorem 3 guarantees the verdict is independent of the chunking; these tests
 pin down the stronger engineering property that the *dispatch backend* is
-also invisible: serial, thread-pool, and process-pool executors return
+also invisible: serial and process-pool executors return
 identical ``accepted``/``final_states`` (and, for span-based executors,
 identical per-chunk states) on random patterns and inputs, and the lockstep
 engine agrees on the language-level outcome despite its different chunk
@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from repro.matching.lockstep import lockstep_run
 from repro.matching.parallel_sfa import parallel_sfa_run
 from repro.matching.speculative import speculative_run
-from repro.parallel.executor import ProcessExecutor, SerialExecutor, ThreadExecutor
+from repro.parallel.executor import ProcessExecutor, SerialExecutor
+from repro.planning.plan import Plan
 
 from .conftest import compiled
 
@@ -28,12 +29,6 @@ PATTERNS = [
     "([0-9][0-9])*",
     "(GET|POST) /[a-z]{1,8}",
 ]
-
-
-@pytest.fixture(scope="module")
-def thread_ex():
-    with ThreadExecutor(4) as ex:
-        yield ex
 
 
 @pytest.fixture(scope="module")
@@ -48,11 +43,11 @@ def process_ex():
     pattern=st.sampled_from(PATTERNS),
 )
 @settings(max_examples=40, deadline=None)
-def test_sfa_run_identical_across_executors(thread_ex, process_ex, data, p, pattern):
+def test_sfa_run_identical_across_executors(process_ex, data, p, pattern):
     m = compiled(pattern)
     classes = m.translate(data)
     base = parallel_sfa_run(m.sfa, classes, p, executor=SerialExecutor())
-    for ex in (None, thread_ex, process_ex):
+    for ex in (None, process_ex):
         res = parallel_sfa_run(m.sfa, classes, p, executor=ex)
         assert res.accepted == base.accepted
         assert res.final_states == base.final_states
@@ -71,12 +66,12 @@ def test_sfa_run_identical_across_executors(thread_ex, process_ex, data, p, patt
 )
 @settings(max_examples=25, deadline=None)
 def test_speculative_run_identical_across_executors(
-    thread_ex, process_ex, data, p, pattern
+    process_ex, data, p, pattern
 ):
     m = compiled(pattern)
     classes = m.translate(data)
     base = speculative_run(m.min_dfa, classes, p)
-    for ex in (thread_ex, process_ex):
+    for ex in (None, process_ex):
         res = speculative_run(m.min_dfa, classes, p, executor=ex)
         assert res.accepted == base.accepted
         assert res.final_state == base.final_state
@@ -87,23 +82,20 @@ def test_speculative_run_identical_across_executors(
 def test_engine_api_executor_knob(process_ex, data, p):
     """`fullmatch(executor=...)` agrees with the plain serial path."""
     m = compiled("(a|b)*abb")
-    expect = m.fullmatch(data, engine="sfa", num_chunks=p)
-    assert m.fullmatch(data, engine="sfa", num_chunks=p, executor=process_ex) == expect
-    assert (
-        m.fullmatch(data, engine="speculative", num_chunks=p, executor=process_ex)
-        == expect
-    )
+    expect = m.fullmatch(data, plan=Plan(engine="sfa", num_chunks=p))
+    for engine in ("sfa", "speculative"):
+        on_pool = Plan(engine=engine, num_chunks=p, executor="processes")
+        assert m.fullmatch(data, plan=on_pool, executor=process_ex) == expect
 
 
 def test_fullmatch_accepts_backend_names():
     """String executors resolve through the shared warm-pool registry."""
     m = compiled("(ab)*")
     data = b"ab" * 50
-    for name in ("serial", "threads", "processes"):
-        assert m.fullmatch(data, engine="sfa", num_chunks=4,
-                           executor=name, num_workers=2)
-        assert not m.fullmatch(data + b"x", engine="sfa", num_chunks=4,
-                               executor=name, num_workers=2)
+    for name in ("serial", "processes"):
+        plan = Plan(engine="sfa", num_chunks=4, executor=name, num_workers=2)
+        assert m.fullmatch(data, plan=plan)
+        assert not m.fullmatch(data + b"x", plan=plan)
 
 
 def test_nsfa_run_identical_across_executors(process_ex):

@@ -28,7 +28,7 @@ import re
 
 import pytest
 
-from repro import compile_pattern
+from repro import Plan, compile_pattern
 from repro.matching.stream import StreamingSpanMatcher
 
 # ---------------------------------------------------------------------------
@@ -166,12 +166,10 @@ class TestDifferentialRandom:
             text = random_payload(rng)
             base = list(m.finditer(text))
             p = rng.choice([2, 3, 5, 8, len(text) + 3])
-            kernel = rng.choice(["python", "stride2", "stride4", "vector"])
-            executor = rng.choice([None, "threads"])
-            got = list(m.finditer(
-                text, num_chunks=p, executor=executor, num_workers=2,
-                kernel=kernel,
-            ))
+            kernel = rng.choice(["python", "stride2", "stride4"])
+            executor = rng.choice([None, "serial"])
+            plan = Plan(num_chunks=p, executor=executor, kernel=kernel)
+            got = list(m.finditer(text, plan=plan))
             assert got == base, (pattern, text, p, kernel, executor)
 
 
@@ -210,8 +208,8 @@ class TestDifferentialMatrix:
         m = compile_pattern(pattern)
         base = list(m.finditer(text))
         for p in (2, 3, 7, len(text) + 5):  # includes p > n
-            for kernel in ("python", "stride2", "stride4", "vector"):
-                got = list(m.finditer(text, num_chunks=p, kernel=kernel))
+            for kernel in ("python", "stride2", "stride4"):
+                got = list(m.finditer(text, plan=Plan(num_chunks=p, kernel=kernel)))
                 assert got == base, (pattern, p, kernel)
 
     @pytest.mark.parametrize("pattern,text", ZOO)
@@ -220,7 +218,7 @@ class TestDifferentialMatrix:
         base = list(m.finditer(text))
         rng = random.Random(hash((pattern, text)) & 0xFFFF)
         for _ in range(6):
-            cur = StreamingSpanMatcher(m)
+            cur = StreamingSpanMatcher(m, Plan())
             got = []
             i = 0
             while i < len(text):
@@ -231,15 +229,14 @@ class TestDifferentialMatrix:
             assert got == base, (pattern, text)
 
     def test_executors_bit_identical(self):
-        # thread + process backends on a payload long enough to matter
+        # serial + process backends on a payload long enough to matter
         text = (b"x" * 700 + b"ERROR 123" + b"y" * 500 + b"ERROR 9") * 3
         m = compile_pattern("ERROR [0-9]+")
         base = list(m.finditer(text))
         assert len(base) == 6
-        for executor in ("serial", "threads", "processes"):
-            for kernel in ("python", "stride4", "vector"):
-                got = list(m.finditer(
-                    text, num_chunks=4, executor=executor, num_workers=2,
-                    kernel=kernel,
-                ))
+        for executor in ("serial", "processes"):
+            for kernel in ("python", "stride4"):
+                plan = Plan(num_chunks=4, executor=executor, num_workers=2,
+                            kernel=kernel)
+                got = list(m.finditer(text, plan=plan))
                 assert got == base, (executor, kernel)

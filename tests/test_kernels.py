@@ -1,4 +1,4 @@
-"""Kernel equivalence: stride/vector kernels agree with the python scan.
+"""Kernel equivalence: stride kernels agree with the python scan.
 
 The kernel knob must be invisible at the language level: every kernel, on
 every engine, on any chunking — including empty input, ``p > n`` and odd
@@ -17,14 +17,14 @@ from repro.errors import AutomatonError, MatchEngineError
 from repro.matching.lockstep import lockstep_run
 from repro.matching.parallel_sfa import parallel_sfa_run
 from repro.matching.speculative import speculative_run
-from repro.matching.stream import ParallelStreamMatcher, StreamMatcher
+from repro.matching.stream import StreamMatcher
 from repro.parallel.chunking import clamp_chunks
 from repro.parallel.executor import ProcessExecutor, SerialExecutor
+from repro.planning.plan import Plan
 from repro.parallel.scan import (
     KERNELS,
     run_scan,
     sfa_scan,
-    sfa_scan_vector,
     transform_scan,
     transform_scan_vector,
 )
@@ -115,9 +115,6 @@ class TestScanFunctions:
     def test_vector_matches_python(self, rng, length):
         m = compiled("(a|b)*abb")
         classes = rng.integers(0, m.sfa.num_classes, size=length).astype(np.uint8)
-        assert sfa_scan_vector(m.sfa.table, m.sfa.initial, classes) == sfa_scan(
-            m.sfa.table, m.sfa.initial, classes
-        )
         np.testing.assert_array_equal(
             transform_scan_vector(m.min_dfa.table, classes),
             transform_scan(m.min_dfa.table, classes),
@@ -126,12 +123,16 @@ class TestScanFunctions:
     def test_run_scan_dispatch(self, rng):
         m = compiled("(ab)*")
         classes = rng.integers(0, m.sfa.num_classes, size=40).astype(np.uint8)
-        base = run_scan("sfa", m.sfa.table, m.sfa.initial, classes)
-        for kernel in KERNELS:
-            # stride names run the reference loop on whatever table is given
-            assert run_scan("sfa", m.sfa.table, m.sfa.initial, classes, kernel) == base
+        assert run_scan("sfa", m.sfa.table, m.sfa.initial, classes) == sfa_scan(
+            m.sfa.table, m.sfa.initial, classes
+        )
+        # both transform kinds compute the same chunk transformation
+        np.testing.assert_array_equal(
+            run_scan("transform_block", m.min_dfa.table, 0, classes),
+            run_scan("transform", m.min_dfa.table, 0, classes),
+        )
         with pytest.raises(MatchEngineError):
-            run_scan("sfa", m.sfa.table, 0, classes, kernel="simd")
+            run_scan("simd", m.sfa.table, 0, classes)
 
     def test_non_uint8_streams(self):
         # packed streams wider than a byte walk through the tolist path
@@ -238,7 +239,9 @@ class TestKernelEdgeCases:
         with pytest.raises(MatchEngineError):
             lockstep_run(m.sfa, classes, 2, kernel="simd")
         with pytest.raises(MatchEngineError):
-            StreamMatcher(m.sfa, kernel="simd")
+            StreamMatcher(m.sfa, plan={"kernel": "simd"})
+        with pytest.raises(MatchEngineError):
+            Plan(kernel="vector")
 
     def test_engine_api_kernel_knob(self):
         m = compiled("(a|b)*abb")
@@ -246,10 +249,8 @@ class TestKernelEdgeCases:
             expected = m.fullmatch(data)
             for kernel in KERNELS:
                 for engine in ("speculative", "sfa", "lockstep"):
-                    assert (
-                        m.fullmatch(data, engine=engine, num_chunks=3, kernel=kernel)
-                        == expected
-                    )
+                    plan = Plan(engine=engine, num_chunks=3, kernel=kernel)
+                    assert m.fullmatch(data, plan=plan) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +310,10 @@ def test_stream_matchers_agree_with_fullmatch(data, cuts, pattern, kernel):
     expected = m.fullmatch(data)
     bounds = sorted({0, len(data), *[c % (len(data) + 1) for c in cuts]})
     blocks = [data[a:b] for a, b in zip(bounds, bounds[1:])]
-    cur = StreamMatcher(m.sfa, kernel=kernel)
-    par = ParallelStreamMatcher(m.sfa, num_chunks=3, kernel=kernel)
+    cur = StreamMatcher(m.sfa, plan=Plan(engine="sfa", kernel=kernel))
+    par = StreamMatcher(
+        m.sfa, plan=Plan(engine="lockstep", num_chunks=3, kernel=kernel)
+    )
     for block in blocks:
         cur.feed(block)
         par.feed(block)
@@ -324,7 +327,8 @@ class TestStreamZeroCopy:
     @pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview])
     def test_feed_accepts_buffer_types(self, wrap):
         m = compiled("(ab)*")
-        for matcher in (StreamMatcher(m.sfa), ParallelStreamMatcher(m.sfa, 4)):
+        par = StreamMatcher(m.sfa, Plan(engine="lockstep", num_chunks=4))
+        for matcher in (StreamMatcher(m.sfa), par):
             matcher.feed(wrap(b"abab")).feed(wrap(b"")).feed(wrap(b"ab"))
             assert matcher.accepted()
             assert matcher.bytes_consumed == 6

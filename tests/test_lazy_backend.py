@@ -22,6 +22,7 @@ from repro.automata.serialize import load_ruleset, save_ruleset
 from repro.errors import AutomatonError, MatchEngineError, StateExplosionError
 from repro.matching.multi import MultiPatternSet
 from repro.matching.stream import StreamingMultiMatcher
+from repro.planning.plan import Plan
 from repro.planning.planner import (
     AUTO_EAGER_POSITIONS,
     AUTO_SHARDED_POSITIONS,
@@ -90,7 +91,8 @@ class TestDifferential:
                 # test's job; test_multi covers the eager chunked path)
                 if mps.backend != "eager":
                     for p in (2, 5):
-                        assert mps.scan_chunked(data, p) == ref, mps.backend
+                        got = mps.scan_chunked(data, plan=Plan(num_chunks=p))
+                        assert got == ref, mps.backend
                 # streaming blockings
                 if mode == "search":
                     for block in (777, 4_096):
@@ -121,7 +123,7 @@ class TestDifferential:
             assert ce.matched_rules() == cl.matched_rules()
 
     def test_sharded_executor_fanout_matches_serial(self):
-        from repro.parallel.executor import ThreadExecutor
+        from repro.parallel.executor import SerialExecutor
 
         rules = _rules(8, 2)
         sharded = MultiPatternSet(
@@ -130,8 +132,10 @@ class TestDifferential:
         assert sharded.group_count >= 2
         data = _payloads(rules, sizes=(8_000,), seeds=(6,))[-1]
         serial = sharded.matches(data)
-        with ThreadExecutor(2) as ex:
-            assert sharded.matches(data, executor=ex) == serial
+        fanout = Plan(executor="serial")
+        with SerialExecutor() as ex:
+            assert sharded.matches(data, plan=fanout, executor=ex) == serial
+        assert sharded.matches(data, plan=fanout) == serial
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +202,9 @@ class TestFreeze:
         assert lazy.backend == "eager"
         assert isinstance(lazy.num_materialized, int)
         for kernel in ("python", "stride2"):
-            assert lazy.matches(data, kernel=kernel) == ref
-        assert lazy.matches(data, 3) == ref  # chunked → via union D-SFA
+            assert lazy.matches(data, plan=Plan(kernel=kernel)) == ref
+        # chunked → via union D-SFA
+        assert lazy.matches(data, plan=Plan(num_chunks=3)) == ref
         assert lazy.matches_any(data) == bool(ref)
 
     def test_freeze_is_idempotent_and_sharded_freezes(self):
@@ -382,7 +387,7 @@ class TestCacheBackend:
 
         cache = ArtifactCache(capacity=8)
         lazy, _ = cache.get_ruleset(["abc", "a+b"], backend="lazy")
-        assert cache.warm(lazy, ["dfa", "sfa"], "stride2") == []
+        assert cache.warm(lazy, ["dfa", "sfa"], Plan(kernel="stride2")) == []
         assert lazy.backend == "lazy"  # warming never forced a freeze
 
     def test_bad_backend_is_a_service_error(self):

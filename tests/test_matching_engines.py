@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import compile_pattern
+from repro import Plan, compile_pattern
 from repro.errors import MatchEngineError
 from repro.matching.lockstep import LockstepSFAMatcher, lockstep_run
 from repro.matching.parallel_sfa import ParallelSFAMatcher, parallel_sfa_run
@@ -37,10 +37,10 @@ class TestEngineAgreement:
     def test_all_engines_agree(self, pattern, num_chunks):
         m = compiled(pattern)
         for w in words_for(pattern):
-            expected = m.fullmatch(w, engine="dfa")
-            assert m.fullmatch(w, engine="speculative", num_chunks=num_chunks) == expected
-            assert m.fullmatch(w, engine="sfa", num_chunks=num_chunks) == expected
-            assert m.fullmatch(w, engine="lockstep", num_chunks=num_chunks) == expected
+            expected = m.fullmatch(w, plan=Plan(engine="dfa"))
+            assert m.fullmatch(w, plan=Plan(engine="speculative", num_chunks=num_chunks)) == expected
+            assert m.fullmatch(w, plan=Plan(engine="sfa", num_chunks=num_chunks)) == expected
+            assert m.fullmatch(w, plan=Plan(engine="lockstep", num_chunks=num_chunks)) == expected
 
     @pytest.mark.parametrize("pattern", PATTERNS)
     def test_sfa_sequential_matcher(self, pattern):
@@ -52,7 +52,7 @@ class TestEngineAgreement:
     def test_unknown_engine(self):
         m = compiled("(ab)*")
         with pytest.raises(MatchEngineError):
-            m.fullmatch(b"ab", engine="quantum")
+            m.fullmatch(b"ab", plan=Plan(engine="quantum"))
 
 
 class TestSplitInvariance:

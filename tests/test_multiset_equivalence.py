@@ -1,6 +1,6 @@
 """Multi-pattern equivalence across kernel × executor × chunking.
 
-The IDS scan path must make every knob language-invisible: for any
+The IDS scan path must make every plan language-invisible: for any
 ruleset, any payload, any chunk count (including ``p > n``), any kernel
 (including odd stride tails) and any dispatch backend, ``matches`` and
 ``scan_chunked`` return the exact rule set of the serial python-kernel
@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 
 from repro.matching.multi import MultiPatternSet
 from repro.matching.stream import StreamingMultiMatcher
-from repro.parallel.executor import ProcessExecutor, SerialExecutor, ThreadExecutor
+from repro.parallel.executor import ProcessExecutor, SerialExecutor
 from repro.parallel.scan import KERNELS
+from repro.planning.plan import Plan
 from repro.workloads.snort import generate_ruleset
 
 # Hand-written rules plus two generated SNORT-like rulesets (seeds chosen
@@ -52,16 +53,12 @@ payloads = st.binary(max_size=200) | st.text(
 @settings(max_examples=40, deadline=None)
 def test_matches_invariant_under_kernel_and_chunking(data, p, kernel, key):
     mps = multiset(key)
-    ref = mps.matches(data)
-    assert mps.matches(data, num_chunks=p, kernel=kernel) == ref
-    assert mps.scan_chunked(data, p, kernel=kernel) == ref
-    assert mps.matches_any(data, num_chunks=p, kernel=kernel) == bool(ref)
-
-
-@pytest.fixture(scope="module")
-def thread_ex():
-    with ThreadExecutor(4) as ex:
-        yield ex
+    ref = mps.matches(data, plan=Plan())
+    plan = Plan(num_chunks=p, kernel=kernel)
+    assert mps.matches(data) == ref  # the auto plan
+    assert mps.matches(data, plan=plan) == ref
+    assert mps.scan_chunked(data, plan=plan) == ref
+    assert mps.matches_any(data, plan=plan) == bool(ref)
 
 
 @pytest.fixture(scope="module")
@@ -84,25 +81,28 @@ EXECUTOR_PAYLOADS = [
 
 @pytest.mark.parametrize("p", [1, 3, 50])
 @pytest.mark.parametrize("kernel", ["python", "stride4"])
-def test_matches_invariant_under_executors(thread_ex, process_ex, p, kernel):
+def test_matches_invariant_under_executors(process_ex, p, kernel):
     mps = multiset("hand")
+    backends = ((None, None), ("serial", SerialExecutor()),
+                ("processes", process_ex))
     for data in EXECUTOR_PAYLOADS:
-        ref = mps.matches(data)
-        for ex in (None, SerialExecutor(), thread_ex, process_ex):
-            got = mps.matches(data, num_chunks=p, executor=ex, kernel=kernel)
-            assert got == ref, (data, p, kernel, ex)
-            got = mps.scan_chunked(data, p, executor=ex, kernel=kernel)
-            assert got == ref, ("chunked", data, p, kernel, ex)
+        ref = mps.matches(data, plan=Plan())
+        for name, ex in backends:
+            plan = Plan(num_chunks=p, executor=name, kernel=kernel)
+            got = mps.matches(data, plan=plan, executor=ex)
+            assert got == ref, (data, p, kernel, name)
+            got = mps.scan_chunked(data, plan=plan, executor=ex)
+            assert got == ref, ("chunked", data, p, kernel, name)
 
 
-def test_snort_ruleset_across_backends(thread_ex, process_ex):
+def test_snort_ruleset_across_backends(process_ex):
     mps = multiset("snort7")
     data = b"scripts/jsp42 999999:0123 format=ab12 " * 4
-    ref = mps.matches(data)
+    ref = mps.matches(data, plan=Plan())
     assert ref  # the payload is built to trip rules
-    for ex in (thread_ex, process_ex):
-        for kernel in ("python", "stride2"):
-            assert mps.matches(data, num_chunks=5, executor=ex, kernel=kernel) == ref
+    for kernel in ("python", "stride2"):
+        plan = Plan(num_chunks=5, executor="processes", kernel=kernel)
+        assert mps.matches(data, plan=plan, executor=process_ex) == ref
 
 
 @given(
@@ -118,7 +118,9 @@ def test_streaming_agrees_with_batch(data, cuts, p, kernel, key):
     expected = mps.matches(data)
     bounds = sorted({0, len(data), *[c % (len(data) + 1) for c in cuts]})
     blocks = [data[a:b] for a, b in zip(bounds, bounds[1:])]
-    cur = StreamingMultiMatcher(mps, num_chunks=p, kernel=kernel)
+    cur = StreamingMultiMatcher(
+        mps, plan=Plan(engine="lockstep", num_chunks=p, kernel=kernel)
+    )
     reported = set()
     for block in blocks:
         fresh = cur.feed(block)

@@ -10,6 +10,7 @@ construction and every matching engine at once.
 import re
 
 import pytest
+from repro.planning.plan import Plan
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -61,9 +62,9 @@ def test_fullmatch_agrees_with_re(pattern, word):
 def test_all_engines_agree_with_re(pattern, word, chunks):
     m = compiled(pattern)
     expected = re.fullmatch(pattern.encode(), word) is not None
-    assert m.fullmatch(word, engine="speculative", num_chunks=chunks) == expected
-    assert m.fullmatch(word, engine="sfa", num_chunks=chunks) == expected
-    assert m.fullmatch(word, engine="lockstep", num_chunks=chunks) == expected
+    assert m.fullmatch(word, plan=Plan(engine="speculative", num_chunks=chunks)) == expected
+    assert m.fullmatch(word, plan=Plan(engine="sfa", num_chunks=chunks)) == expected
+    assert m.fullmatch(word, plan=Plan(engine="lockstep", num_chunks=chunks)) == expected
 
 
 @given(pattern_strategy, word_strategy)

@@ -8,7 +8,7 @@
 import numpy as np
 import pytest
 
-from repro import compile_pattern
+from repro import Plan, compile_pattern
 from repro.automata import correspondence_construction, minimize, subset_construction, glushkov_nfa
 from repro.matching.parallel_sfa import parallel_sfa_run, sfa_chunk_scan
 from repro.regex.parser import parse
@@ -165,5 +165,5 @@ class TestQuickstartDocExample:
         m = compile_pattern("(ab)*")
         assert m.fullmatch(b"abababab")
         assert not m.fullmatch(b"ababa")
-        assert m.fullmatch(b"abababab", engine="lockstep", num_chunks=4)
+        assert m.fullmatch(b"abababab", plan=Plan(engine="lockstep", num_chunks=4))
         assert m.sizes()["d_sfa"] == 6

@@ -10,10 +10,9 @@ from repro.parallel.chunking import lockstep_layout, split_balanced, split_class
 from repro.parallel.executor import (
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     make_executor,
-    resolve_executor,
 )
+from repro.planning.plan import Plan
 from repro.parallel.reduction import (
     sequential_reduction_dsfa,
     sequential_reduction_nsfa,
@@ -138,30 +137,6 @@ class TestExecutors:
         out = ex.map(lambda a: int(a.sum()), [np.array([1]), np.array([2, 3])])
         assert out == [1, 5]
 
-    def test_thread_pool_matches_serial(self):
-        chunks = [np.arange(i + 1) for i in range(8)]
-        fn = lambda a: int(a.sum())
-        with ThreadExecutor(4) as ex:
-            assert ex.map(fn, chunks) == SerialExecutor().map(fn, chunks)
-
-    def test_fresh_threads_mode(self):
-        ex = ThreadExecutor(2, fresh_threads=True)
-        assert ex.map(lambda a: len(a), [np.arange(3)]) == [3]
-
-    def test_invalid_thread_count(self):
-        with pytest.raises(MatchEngineError):
-            ThreadExecutor(0)
-
-    def test_thread_executor_with_sfa_run(self):
-        from repro.matching.parallel_sfa import parallel_sfa_run
-        from .conftest import compiled
-
-        m = compiled("(ab)*")
-        classes = m.translate(b"ab" * 40)
-        with ThreadExecutor(4) as ex:
-            res = parallel_sfa_run(m.sfa, classes, 4, executor=ex)
-        assert res.accepted
-
 
 class TestProcessExecutor:
     """The multicore backend: shared-memory tables + a worker pool."""
@@ -276,8 +251,7 @@ class TestProcessExecutor:
 
 class TestExecutorFactory:
     def test_make_executor_names(self):
-        for name, cls in [("serial", SerialExecutor), ("threads", ThreadExecutor),
-                          ("processes", ProcessExecutor)]:
+        for name, cls in [("serial", SerialExecutor), ("processes", ProcessExecutor)]:
             ex = make_executor(name, 2)
             assert isinstance(ex, cls)
             ex.close()
@@ -287,13 +261,16 @@ class TestExecutorFactory:
             make_executor("gpu")
 
     def test_resolve_executor_passthrough_and_none(self):
-        assert resolve_executor(None) is None
         ser = SerialExecutor()
-        assert resolve_executor(ser) is ser
+        # no executor named: in-process, whatever pool the caller holds
+        assert Plan().resolve_executor() is None
+        assert Plan().resolve_executor(ser) is None
+        # a caller-owned pool stands in for the named backend
+        assert Plan(executor="serial").resolve_executor(ser) is ser
         with pytest.raises(MatchEngineError):
-            resolve_executor(42)
+            Plan(executor="threads")
 
     def test_resolve_executor_shared_instances(self):
-        a = resolve_executor("threads", 2)
-        b = resolve_executor("threads", 2)
-        assert a is b
+        a = Plan(executor="serial", num_workers=2).resolve_executor()
+        b = Plan(executor="serial", num_workers=2).resolve_executor()
+        assert a is b and isinstance(a, SerialExecutor)

@@ -3,16 +3,15 @@
 Four contracts pinned here:
 
 1. **Equivalence** — ``plan="auto"`` returns bit-identical results to the
-   serial python reference across random patterns × payloads × entry
+   serial python reference plan across random patterns × payloads × entry
    points (batch, spans, multi-pattern, streaming).  The planner may only
    ever change *how* a scan runs, never *what* it returns.
-2. **Back-compat** — explicitly-passed legacy knobs beat any plan
-   (callers who hand-picked a combination keep it), and ``plan=None``
-   with no knobs is bit-for-bit the pre-planner behaviour.
-3. **Guard rails** — the vector kernel is never chosen for acceptance
-   scans (the 0.067× regime measured in ``bench_kernels``), the chosen
-   plan is never estimated slower than serial python, and tiny inputs
-   short-circuit before any calibration access.
+2. **One way to say how** — a :class:`Plan` (or ``"auto"``) is the only
+   strategy argument; an explicit plan runs as given, and its summary
+   string parses back to the same plan.
+3. **Guard rails** — the chosen plan is never estimated slower than
+   serial python, and tiny inputs short-circuit before any calibration
+   access.
 4. **Calibration hygiene** — only ``repro calibrate`` writes the file;
    corrupt/stale files downgrade to defaults with a warning, never an
    exception.
@@ -77,7 +76,7 @@ class TestPlanObject:
             "dfa", None, "python", 1
         )
         assert p.reduction == "sequential"
-        assert p.source == "default"
+        assert p.source == "explicit"
 
     def test_validation_keeps_legacy_messages(self):
         with pytest.raises(MatchEngineError, match="num_chunks must be >= 1"):
@@ -93,32 +92,41 @@ class TestPlanObject:
 
     def test_dict_roundtrip_ignores_unknown_keys(self):
         p = Plan(engine="sfa", kernel="stride4", num_chunks=4,
-                 executor="threads", num_workers=2, source="auto")
+                 executor="processes", num_workers=2, source="auto")
         d = p.to_dict()
-        assert d["summary"] == "sfa/p4/threads/stride4"
+        assert d["summary"] == "sfa/p4/processes/stride4"
         d["future_field"] = 123  # older clients must survive newer servers
         q = Plan.from_dict(d)
         assert q == p
 
-    def test_explicit_knobs_override_any_plan(self):
-        base = Plan(engine="sfa", kernel="stride4", num_chunks=8)
-        p = resolve_plan(base, "fullmatch", 1000, kernel="python", num_chunks=3)
-        assert (p.kernel, p.num_chunks) == ("python", 3)
-        assert p.engine == "sfa"  # untouched fields come from the plan
-        assert p.source.endswith("+knobs")
+    @pytest.mark.parametrize("plan", [
+        Plan(),
+        Plan(engine="lockstep", num_chunks=8),
+        Plan(engine="sfa", num_chunks=2, executor="processes", kernel="stride4"),
+        Plan(engine="speculative", num_chunks=3, executor="serial",
+             kernel="stride2"),
+    ])
+    def test_parse_roundtrips_summary(self, plan):
+        assert Plan.parse(plan.summary()) == plan
 
-    def test_no_plan_no_knobs_is_entry_point_defaults(self):
-        d = Plan(engine="lockstep", num_chunks=8)
-        p = resolve_plan(None, "contains", 1000, defaults=d)
-        assert p == d
+    @pytest.mark.parametrize("text", [
+        "", "auto", "sfa", "sfa/p2/inline", "sfa/2/inline/python",
+        "sfa/p/inline/python", "sfa/p2/threads/python", "sfa/p2/inline/vector",
+        "sfa/p0/inline/python", "sfa/p2/inline/python/extra",
+    ])
+    def test_parse_rejects_malformed_summaries(self, text):
+        with pytest.raises(MatchEngineError):
+            Plan.parse(text)
 
     def test_garbage_plan_and_executor_rejected(self):
         with pytest.raises(MatchEngineError, match="plan must be"):
             resolve_plan("fastest", "fullmatch", 10)
+        with pytest.raises(MatchEngineError, match="plan must be"):
+            resolve_plan(None, "fullmatch", 10)
         with pytest.raises(MatchEngineError, match="not an executor"):
-            resolve_plan(None, "fullmatch", 10, executor=object())
+            Plan(executor="serial").resolve_executor(object())
         with pytest.raises(MatchEngineError, match="unknown plan task"):
-            resolve_plan(None, "teleport", 10)
+            resolve_plan(Plan(), "teleport", 10)
 
 
 # ---------------------------------------------------------------------------
@@ -137,13 +145,18 @@ def _warm(pattern: str):
 
 class TestPlannerChoices:
     def test_never_vector_on_acceptance_bench_workload(self):
-        # The bench_kernels workload where vector measured 0.067x python.
+        # The bench_kernels workload where the (since removed) vector
+        # kernel measured 0.067x python: every auto plan names a kernel
+        # that exists.
+        from repro.parallel.scan import KERNELS
+
+        assert "vector" not in KERNELS
         m = _warm(rn_pattern(5))
         planner = Planner(calibration=DEFAULT_CALIBRATION)
         for n in (TINY_INPUT_BYTES, 1 << 16, 2_000_000, 64_000_000):
             for task in ("fullmatch", "contains"):
                 plan = planner.plan(task, n, subject=m)
-                assert plan.kernel != "vector", (task, n, plan)
+                assert plan.kernel in KERNELS, (task, n, plan)
 
     def test_auto_picks_stride4_sfa_when_warm(self):
         # Regression pin: on the bench_kernels workload (r_5, 2 MB) the
@@ -201,7 +214,7 @@ class TestPlannerChoices:
         monkeypatch.setattr(eng, "parallel_sfa_run", spy)
         m = _warm(rn_pattern(5))
         text = rn_accepted_text(5, 100_000, seed=1)
-        assert m.fullmatch(text, plan="auto", engine="dfa")  # knob wins
+        assert m.fullmatch(text, plan=Plan(engine="dfa"))  # runs as given
         assert not calls
         assert m.fullmatch(text, plan="auto")  # warm auto picks the SFA
         assert calls
@@ -209,16 +222,16 @@ class TestPlannerChoices:
     def test_auto_falls_back_serial_on_state_explosion(self):
         # A pattern whose SFA construction explodes must still answer
         # under plan="auto" (fallback to the serial DFA walk) while an
-        # explicit engine=sfa request keeps raising.
+        # explicit sfa plan keeps raising.
         from repro.errors import StateExplosionError
 
         m = compile_pattern("(a|b)*a(a|b){12}", max_sfa_states=64)
         text = b"ab" * 3000 + b"a" + b"ab" * 6
         with pytest.raises(StateExplosionError):
-            m.fullmatch(text, engine="sfa")
+            m.fullmatch(text, plan=Plan(engine="sfa"))
         assert m.fullmatch(text, plan=Plan(
             engine="sfa", kernel="python", source="auto"
-        )) == m.fullmatch(text, engine="dfa")
+        )) == m.fullmatch(text, plan=Plan(engine="dfa"))
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +261,10 @@ def _payload(rng: random.Random, size: int) -> bytes:
     return bytes(out)
 
 
+#: The serial python reference every auto plan must agree with.
+SERIAL = Plan()
+
+
 class TestAutoEquivalence:
     def test_batch_entry_points(self):
         rng = random.Random(20130913)
@@ -255,22 +272,22 @@ class TestAutoEquivalence:
             m = compile_pattern(pat)
             for size in (0, 1, 37, 5000, 60_000):
                 data = _payload(rng, size)
-                assert m.fullmatch(data, plan="auto") == m.fullmatch(data)
-                assert m.contains(data, plan="auto") == m.contains(data)
-                assert list(m.finditer(data, plan="auto")) == list(
-                    m.finditer(data)
+                assert m.fullmatch(data) == m.fullmatch(data, plan=SERIAL)
+                assert m.contains(data) == m.contains(data, plan=SERIAL)
+                assert list(m.finditer(data)) == list(
+                    m.finditer(data, plan=SERIAL)
                 )
-                assert m.count(data, plan="auto") == m.count(data)
+                assert m.count(data) == m.count(data, plan=SERIAL)
 
     def test_multi_pattern(self):
         rng = random.Random(2940)
         mps = MultiPatternSet(RULES)
         for size in (0, 100, 8192, 60_000):
             data = _payload(rng, size)
-            assert mps.matches(data, plan="auto") == mps.matches(data)
-            assert mps.matches_any(data, plan="auto") == mps.matches_any(data)
-            assert list(mps.finditer(data, plan="auto")) == list(
-                mps.finditer(data)
+            assert mps.matches(data) == mps.matches(data, plan=SERIAL)
+            assert mps.matches_any(data) == mps.matches_any(data, plan=SERIAL)
+            assert list(mps.finditer(data)) == list(
+                mps.finditer(data, plan=SERIAL)
             )
 
     def test_streaming_cursors(self):
@@ -289,10 +306,10 @@ class TestAutoEquivalence:
         for b in blocks:
             out.extend(auto.feed(b))
         out.extend(auto.finish())
-        assert out == list(m.finditer(data))
+        assert out == list(m.finditer(data, plan=SERIAL))
 
         sm = StreamMatcher(compile_pattern("(ab)*").sfa, plan="auto")
-        ref = StreamMatcher(compile_pattern("(ab)*").sfa)
+        ref = StreamMatcher(compile_pattern("(ab)*").sfa, plan=SERIAL)
         for b in blocks:
             sm.feed(b)
             ref.feed(b)
@@ -303,7 +320,7 @@ class TestAutoEquivalence:
         for b in blocks:
             seen |= mm.feed(b)
         seen |= mm.finish()
-        assert seen == MultiPatternSet(RULES).matches(data)
+        assert seen == MultiPatternSet(RULES).matches(data, plan=SERIAL)
 
     def test_legacy_positional_run_calls_still_work(self):
         # The three run functions keep their positional legacy signature.
@@ -331,7 +348,7 @@ class TestCalibration:
             created=time.time(),
             source="measured",
             mb_per_s={"sfa_python": 50.0, "sfa_stride4": 200.0},
-            dispatch_ms={"threads": 0.1},
+            dispatch_ms={"processes": 1.5},
         )
         base.update(kw)
         base["cpu_count"] = kw.get("cpu_count", DEFAULT_CALIBRATION.cpu_count)
@@ -419,7 +436,6 @@ class TestPlanCLI:
         dump = json.loads(capsys.readouterr().out)
         assert dump["calibration"]["source"] == "measured"
         assert dump["plan"]["source"] == "auto"
-        assert dump["plan"]["kernel"] != "vector"
 
     def test_plan_without_calibration_uses_defaults(self, capsys):
         code = cli_main(["plan", "(ab)*", "--json"])
@@ -427,13 +443,23 @@ class TestPlanCLI:
         dump = json.loads(capsys.readouterr().out)
         assert dump["calibration"]["source"] == "default"
 
-    def test_match_plan_off_is_legacy(self, capsys, tmp_path):
+    def test_match_plan_summary_pins_the_plan(self, capsys, tmp_path,
+                                              monkeypatch):
+        import repro.matching.engine as eng
+
+        runs = []
+        real = eng.lockstep_run
+        monkeypatch.setattr(eng, "lockstep_run",
+                            lambda *a: runs.append(a[2:]) or real(*a))
         f = tmp_path / "in.bin"
         f.write_bytes(b"ab" * 100)
-        assert cli_main(["match", "(ab)*", str(f), "--plan", "off"]) == 0
+        assert cli_main(["match", "(ab)*", str(f), "--plan",
+                         "lockstep/p4/inline/stride2"]) == 0
         assert capsys.readouterr().out.strip() == "match"
+        assert runs == [(4, "stride2")]
         assert cli_main(["match", "(ab)*", str(f)]) == 0  # auto default
         assert capsys.readouterr().out.strip() == "match"
+        assert len(runs) == 1  # 200 bytes: auto runs the serial DFA walk
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ import pytest
 from repro import compile_pattern
 from repro.errors import ServiceError
 from repro.matching.multi import MultiPatternSet
+from repro.planning.plan import Plan
 from repro.service.cache import ArtifactCache, pattern_key, ruleset_key
 from repro.service.client import ServiceClient
 from repro.service.protocol import (
@@ -147,8 +148,8 @@ class TestArtifactCache:
     def test_warm_is_idempotent(self):
         cache = ArtifactCache(4)
         m, _ = cache.get_pattern("(ab)*")
-        built1 = cache.warm(m, ["dfa", "sfa", "spans"], kernel="stride2")
-        built2 = cache.warm(m, ["dfa", "sfa", "spans"], kernel="stride2")
+        built1 = cache.warm(m, ["dfa", "sfa", "spans"], Plan(kernel="stride2"))
+        built2 = cache.warm(m, ["dfa", "sfa", "spans"], Plan(kernel="stride2"))
         assert built1 == ["dfa", "sfa", "spans"]
         assert built2 == []
 
@@ -262,8 +263,10 @@ class TestServiceBasics:
         data = b"x" * 5000 + b"needle42" + b"y" * 5000
         with server.client() as c:
             assert c.match("needle[0-9]+", data, mode="contains")
-            assert c.scan("needle[0-9]+", data, chunks=8, kernel="stride2")
-            assert not c.scan("absent", data, chunks=8)
+            assert c.scan("needle[0-9]+", data)  # default: sfa over 2 chunks
+            assert c.scan("needle[0-9]+", data,
+                          plan=Plan(engine="sfa", num_chunks=8, kernel="stride2"))
+            assert not c.scan("absent", data, plan=Plan(num_chunks=8))
 
     def test_finditer_equivalence(self, server):
         data = b"xx ERROR 42 yy ERROR 7 zz" * 40
@@ -271,8 +274,8 @@ class TestServiceBasics:
         want = list(m.finditer(data))
         with server.client() as c:
             assert c.finditer("ERROR [0-9]+", data) == want
-            assert c.finditer("ERROR [0-9]+", data, chunks=4,
-                              kernel="stride2") == want
+            assert c.finditer("ERROR [0-9]+", data,
+                              plan=Plan(num_chunks=4, kernel="stride2")) == want
             assert c.finditer("ERROR [0-9]+", data, limit=3) == want[:3]
 
     def test_multiscan_equivalence(self, server):
@@ -280,17 +283,18 @@ class TestServiceBasics:
         want = sorted(MultiPatternSet(RULES).matches(data))
         with server.client() as c:
             assert c.multiscan(RULES, data) == want
-            assert c.multiscan(RULES, data, chunks=4, kernel="stride2") == want
+            plan = Plan(num_chunks=4, kernel="stride2")
+            assert c.multiscan(RULES, data, plan=plan) == want
 
     def test_compile_reports_and_caches(self, server):
         with server.client() as c:
             r1 = c.compile("(ab)*", stages=["dfa", "sfa", "spans"],
-                           kernel="stride2")
+                           plan=Plan(kernel="stride2"))
             assert r1["cached"] is False
             assert r1["sizes"]["d_sfa"] == 6
             assert set(r1["built"]) == {"dfa", "sfa", "spans"}
             r2 = c.compile("(ab)*", stages=["dfa", "sfa", "spans"],
-                           kernel="stride2")
+                           plan=Plan(kernel="stride2"))
             assert r2["cached"] is True
             assert r2["built"] == []
             # a match on the warmed pattern is a pure cache hit
@@ -387,8 +391,8 @@ class TestServiceErrors:
                             check=False)
             assert err["ok"] is False
             assert err["error"]["kind"] in ("bad-request", "internal")
-            err = c.request({"op": "match", "pattern": "a", "chunks": [4]},
-                            b"x", check=False)
+            err = c.request({"op": "match", "pattern": "a",
+                             "plan": {"num_chunks": [4]}}, b"x", check=False)
             assert err["ok"] is False
             assert c.ping()  # connection survived both
 
@@ -407,15 +411,60 @@ class TestServiceErrors:
     def test_bad_knobs_rejected(self, server):
         with server.client() as c:
             err = c.request(
-                {"op": "match", "pattern": "a", "chunks": 0}, b"x",
-                check=False,
+                {"op": "match", "pattern": "a", "plan": {"num_chunks": 0}},
+                b"x", check=False,
             )
             assert err["error"]["kind"] == "bad-request"
             err = c.request(
-                {"op": "finditer", "pattern": "a", "kernel": "warp9"},
+                {"op": "finditer", "pattern": "a",
+                 "plan": {"kernel": "warp9"}},
                 b"x", check=False,
             )
-            assert err["error"]["kind"] == "engine"
+            assert err["error"]["kind"] == "bad-request"
+            # the loose knob fields are gone: a plan says how
+            for field in ("chunks", "kernel"):
+                err = c.request(
+                    {"op": "match", "pattern": "a", field: 4}, b"x",
+                    check=False,
+                )
+                assert err["error"]["kind"] == "bad-request"
+                assert "plan" in err["error"]["message"]
+            assert c.ping()
+
+    @pytest.mark.parametrize("op", [
+        "match", "scan", "finditer", "multiscan", "stream_open",
+    ])
+    @pytest.mark.parametrize("plan", [
+        {"engine": "sfa", "executor": "processes", "num_workers": 100000},
+        {"engine": "sfa", "num_workers": 2},
+        {"engine": "sfa", "num_chunks": 2, "executor": "processes"},
+        {"engine": "sfa", "num_chunks": 1 << 30},
+        {"engine": "sfa", "num_chunks": "8"},
+    ])
+    def test_wire_plan_cannot_size_or_pick_pools(self, server, monkeypatch,
+                                                 op, plan):
+        """A request's plan never reaches the pool factories: worker
+        counts, foreign executors and huge chunk counts are refused."""
+        import repro.parallel.executor as executor_mod
+
+        def forbidden(*a, **kw):  # pragma: no cover - the point is no call
+            raise AssertionError("a wire plan reached a pool factory")
+
+        monkeypatch.setattr(executor_mod, "make_executor", forbidden)
+        monkeypatch.setattr(executor_mod, "ProcessExecutor", forbidden)
+        monkeypatch.setattr(executor_mod, "get_shared_executor", forbidden)
+        header = {"op": op, "plan": plan}
+        if op in ("multiscan", "stream_open"):
+            header["rules"] = RULES
+            header["kind"] = "multi"
+        else:
+            header["pattern"] = "a+"
+        payload = None if op == "stream_open" else b"aaa"
+        with server.client() as c:
+            err = c.request(header, payload, check=False)
+            assert err["ok"] is False, err
+            assert err["error"]["kind"] == "bad-request", err
+            assert c.ping()  # the connection survives
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +595,8 @@ class TestServiceConcurrency:
                 with server.client() as c:
                     barrier.wait(timeout=30)
                     if i % 3 == 0:
-                        got = c.finditer(pattern, data, chunks=4)
+                        got = c.finditer(pattern, data,
+                                         plan=Plan(num_chunks=4))
                         assert got == expect[data], "spans diverged"
                     elif i % 3 == 1:
                         st = c.open_stream(pattern=pattern)
@@ -569,14 +619,17 @@ class TestServiceConcurrency:
         assert not failures, failures[:5]
 
     def test_shared_executor_server(self):
-        handle = _ServerHandle(cache_size=8, executor="threads", num_workers=2)
+        handle = _ServerHandle(cache_size=8, executor="processes",
+                               num_workers=2)
         try:
             data = b"x" * 3000 + b"needle7" + b"y" * 3000
+            plan = Plan(engine="sfa", num_chunks=4, executor="processes")
             with handle.client() as c:
-                assert c.scan("needle[0-9]", data, chunks=4)
-                spans = c.finditer("needle[0-9]", data, chunks=4)
+                assert c.scan("needle[0-9]", data)  # the server pool, p=2
+                assert c.scan("needle[0-9]", data, plan=plan)
+                spans = c.finditer("needle[0-9]", data, plan=plan)
                 assert spans == [(3000, 3007)]
-                assert c.stats()["executor"] == "threads"
+                assert c.stats()["executor"] == "processes"
         finally:
             handle.stop()
 

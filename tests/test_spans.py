@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from repro import MultiPatternSet, compile_pattern
+from repro import MultiPatternSet, Plan, compile_pattern
 from repro.errors import MatchEngineError
 from repro.matching.stream import (
     StreamingMultiSpanMatcher,
@@ -63,9 +63,9 @@ class TestSpanAPI:
     def test_bad_kernel_and_chunks_rejected(self):
         m = compile_pattern("a")
         with pytest.raises(MatchEngineError):
-            m.span_engine().spans(b"a", kernel="simd")
+            m.span_engine().spans(b"a", plan={"kernel": "simd"})
         with pytest.raises(MatchEngineError):
-            m.span_engine().spans(b"a", num_chunks=0)
+            m.span_engine().spans(b"a", plan={"num_chunks": 0})
 
     def test_span_engine_cached(self):
         m = compile_pattern("ab")
@@ -94,25 +94,25 @@ class TestStartBits:
             classes = m.translate(text)
             base = eng.start_bits(classes)
             for p in (2, 3, 9, len(text) + 2):
-                for kernel in ("python", "stride2", "stride4", "vector"):
+                for kernel in ("python", "stride2", "stride4"):
                     got = eng.start_bits(classes, p, None, kernel)
                     assert np.array_equal(got, base), (text, p, kernel)
 
 
 class TestStreamingSpans:
     def test_emits_before_finish(self):
-        cur = StreamingSpanMatcher(compile_pattern("ERROR [0-9]+"))
+        cur = StreamingSpanMatcher(compile_pattern("ERROR [0-9]+"), Plan())
         assert cur.feed(b"ok\nERROR 42 boom\n") == [(3, 11)]
         assert cur.bytes_buffered == 0
 
     def test_holds_extensible_tail(self):
-        cur = StreamingSpanMatcher(compile_pattern("ERROR [0-9]+"))
+        cur = StreamingSpanMatcher(compile_pattern("ERROR [0-9]+"), Plan())
         assert cur.feed(b"xx ERROR 4") == []  # digits may keep coming
         assert cur.bytes_buffered == 7  # held from the match start
         assert cur.feed(b"2 done") == [(3, 11)]
 
     def test_finish_flushes_and_closes(self):
-        cur = StreamingSpanMatcher(compile_pattern("a+"))
+        cur = StreamingSpanMatcher(compile_pattern("a+"), Plan())
         assert cur.feed(b"xaa") == []
         assert cur.finish() == [(1, 3)]
         assert cur.finish() == []
@@ -120,13 +120,13 @@ class TestStreamingSpans:
             cur.feed(b"more")
 
     def test_reset(self):
-        cur = StreamingSpanMatcher(compile_pattern("ab"))
+        cur = StreamingSpanMatcher(compile_pattern("ab"), Plan())
         cur.feed(b"ab")
         cur.reset()
         assert cur.feed(b"xxab\n") == [(2, 4)]
 
     def test_global_offsets_across_many_feeds(self):
-        cur = StreamingSpanMatcher(compile_pattern("ab"))
+        cur = StreamingSpanMatcher(compile_pattern("ab"), Plan())
         got = []
         for _ in range(10):
             got += cur.feed(b"xab\n")
@@ -147,7 +147,7 @@ class TestStreamingSpans:
                     rng.choice(b"abERROR 0123\n") for _ in range(n)
                 )
                 batch = list(m.finditer(text))
-                cur = StreamingSpanMatcher(m)
+                cur = StreamingSpanMatcher(m, Plan())
                 got, i = [], 0
                 while i < n:
                     j = min(n, i + rng.randrange(1, 10))
@@ -174,11 +174,10 @@ class TestMultiPatternSpans:
         mps = MultiPatternSet(self.RULES)
         data = b"x" * 200 + b"abc" + b"y" * 100 + b"a7b"
         base = mps.finditer(data)
-        for executor in (None, "threads"):
+        for executor in (None, "serial"):
             for kernel in ("python", "stride2"):
-                got = mps.finditer(
-                    data, 4, executor=executor, num_workers=2, kernel=kernel
-                )
+                plan = Plan(num_chunks=4, executor=executor, kernel=kernel)
+                got = mps.finditer(data, plan=plan)
                 assert got == base, (executor, kernel)
 
     def test_fullmatch_mode_extracts_all_rules(self):
@@ -197,7 +196,7 @@ class TestMultiPatternSpans:
         batch = mps.finditer(data)
         rng = random.Random(5)
         for _ in range(8):
-            sm = StreamingMultiSpanMatcher(mps)
+            sm = StreamingMultiSpanMatcher(mps, Plan())
             got, i = [], 0
             while i < len(data):
                 j = min(len(data), i + rng.randrange(1, 7))
